@@ -3,9 +3,8 @@
 Four subcommands: curvature values at surface nodes, Gagliardo seminorms of
 sampled fields, the full verification suite, and the shrinking-front flow.
 Machine output is JSON lines with sorted keys on stdout (or --out), human
-summaries go to stderr. Runs are deterministic for a fixed seed; the
-FRACGEO_THREADS variable is recorded in every line but execution stays
-sequential, so reruns are byte identical.
+summaries go to stderr. Runs are sequential and deterministic for a fixed
+seed, so reruns are byte identical.
 
 Exit codes: 0 on success, 1 when a verification or flow run fails its
 checks, 2 for bad arguments or malformed inputs.
@@ -15,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -42,23 +40,12 @@ from .nonlocal_ops import (
 from .flow import FlowOptions, flow, write_snapshot_svg, write_trace_csv
 
 
-def _threads() -> int:
-    raw = os.environ.get("FRACGEO_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 class _Emitter:
     def __init__(self, out_path):
         self.fh = open(out_path, "w") if out_path else sys.stdout
         self.owns = out_path is not None
-        self.threads = _threads()
 
     def emit(self, record: dict):
-        record = dict(record)
-        record["threads"] = self.threads
         self.fh.write(json.dumps(record, sort_keys=True) + "\n")
 
     def close(self):

@@ -159,9 +159,12 @@ def marker_halpha(markers: np.ndarray, alpha: float, resolution: int = 480) -> n
 class _MarkerEvaluator:
     """Vectorized clipped chord sums for all markers of one flow run.
 
-    The graded theta cells depend only on (alpha, resolution), so they are
-    built once; per step the cells are clipped against every marker's entry
-    cone and the chords are cast against all edges in blocks.
+    The graded theta cells with their widths, cosines and sines are built
+    once. Per call, the sorted cells inside each marker's entry cone
+    (gap, pi - gap) form one run of live cells, of which the cone clips at
+    most the two ends; one search of the vertex angles names every ray's
+    exit edge j, and (m, m) tables give the chord as
+    <x_j - x_i, n_j> / (cos theta <t_i, n_j> - sin theta <b_i, n_j>).
     """
 
     def __init__(self, alpha: float, resolution: int):
@@ -169,61 +172,75 @@ class _MarkerEvaluator:
         rule = graded_half_rule(np.array([0.0, 1.0]), alpha, resolution)
         self.thetas = rule.thetas
         self.cells = rule.cells
+        self.widths = rule.weights
+        self.cos_thetas = np.cos(rule.thetas)
+        self.sin_thetas = np.sin(rule.thetas)
         nodes, widths = graded_interval(alpha, GAP_NODES, 1.0)
         self.gap_nodes = nodes
         self.gap_widths = widths
 
-    def __call__(self, markers: np.ndarray):
+    def __call__(self, markers: np.ndarray, frame=None):
+        """Curvature, turns, bisectors and edge lengths at the markers;
+        `frame` is marker_frame(markers) when the caller already has it."""
         alpha = self.alpha
-        u, n, turns, bis, duals, lengths = marker_frame(markers)
+        u, n, turns, bis, duals, lengths = frame or marker_frame(markers)
         count = len(markers)
+        rows = np.arange(count)
         gaps = np.maximum(turns, 0.0) / 2.0
-        offsets = (markers * n).sum(axis=1)
 
-        g = gaps[:, None]
-        lo = np.clip(self.cells[None, :, 0], g, np.pi - g)
-        hi = np.clip(self.cells[None, :, 1], g, np.pi - g)
-        widths = hi - lo
-        clipped = (self.cells[None, :, 0] < g) | (self.cells[None, :, 1] > np.pi - g)
-        th = np.where(clipped, 0.5 * (lo + hi), self.thetas[None, :])
+        # Marker i's live cells first[i] .. first[i] + live[i] - 1 are stored
+        # flat from start[i]. marker_frame's fold check keeps gaps under pi/2,
+        # so the cell starting at pi/2 is always live.
+        first = np.searchsorted(self.cells[:, 1], gaps, side="right")
+        live = np.searchsorted(self.cells[:, 0], np.pi - gaps) - first
+        start = np.cumsum(live) - live
+        col = np.arange(live.sum()) + np.repeat(first - start, live)
+        widths = self.widths[col]
+        cos_th = self.cos_thetas[col]
+        sin_th = self.sin_thetas[col]
 
         # Exit edges without testing every edge: seen from marker i the other
         # vertices i+1, i+2, ... appear at increasing angles, and a ray whose
-        # angle falls between vertices j and j+1 leaves through edge j. The
-        # clipped angle th - gap is exactly the rotation past the forward
-        # edge direction, so it shares the unwrapped branch by construction.
+        # angle falls between vertices j and j+1 leaves through edge j. On
+        # the cells' theta scale a vertex sits at the gap plus its rotation
+        # past the forward edge. Each adds one at the first live cell at or
+        # past it (past the run: the next marker's first), so the running
+        # count, less one, is every ray's flat index into `ahead`.
+        ahead = count * rows[:, None] + (rows[:, None] + np.arange(1, count)) % count
         diff = markers[None, :, :] - markers[:, None, :]
-        raw = np.arctan2(diff[..., 1], diff[..., 0])
-        order = (np.arange(1, count)[None, :] + np.arange(count)[:, None]) % count
-        psi = np.take_along_axis(raw, order, axis=1)
-        step = np.diff(psi, axis=1)
+        psi = np.arctan2(diff[..., 1], diff[..., 0]).ravel()[ahead]
+        step = np.diff(psi, axis=1, prepend=psi[:, :1])
         step = np.where(step < -np.pi, step + 2.0 * np.pi, np.maximum(step, 0.0))
-        psi = np.concatenate(
-            [psi[:, :1], psi[:, :1] + np.cumsum(step, axis=1)], axis=1
-        )
-        phi = psi[:, :1] + (th - g)
-        jrel = np.empty(th.shape, dtype=int)
-        for i in range(count):
-            jrel[i] = np.searchsorted(psi[i], phi[i], side="right") - 1
-        jrel = np.clip(jrel, 0, count - 2)
-        jexit = (np.arange(count)[:, None] + 1 + jrel) % count
+        seen = gaps[:, None] + np.cumsum(step, axis=1)
+        landing = np.searchsorted(self.thetas, seen) - first[:, None]
+        landing = np.clip(landing, 0, live[:, None]) + start[:, None]
+        landing[:, 0] = start  # a ray never leaves before the forward edge
+        exits = np.cumsum(np.bincount(landing.ravel(), minlength=len(col) + 1)[:-1]) - 1
 
+        # only a run's two end cells can reach past the cone; the cut ones
+        # get their clipped width, their midpoint angle and their own count
+        ends, end_rows = np.concatenate([start, start + live - 1]), np.tile(rows, 2)
+        g = gaps[end_rows, None]
+        cell = self.cells[col[ends]]
+        clipped = np.clip(cell, g, np.pi - g)
+        cut = (clipped != cell).any(axis=1)
+        ends, end_rows, (lo, hi) = ends[cut], end_rows[cut], clipped[cut].T
+        mid = 0.5 * (lo + hi)
+        widths[ends] = hi - lo
+        cos_th[ends], sin_th[ends] = np.cos(mid), np.sin(mid)
+        passed = (seen[end_rows] <= mid[:, None]).sum(axis=1)
+        exits[ends] = end_rows * (count - 1) + np.maximum(passed, 1) - 1
+
+        pair = ahead.ravel()[exits]
         tangent = np.stack([-bis[:, 1], bis[:, 0]], axis=1)
-        dirs = (
-            np.cos(th)[..., None] * tangent[:, None, :]
-            - np.sin(th)[..., None] * bis[:, None, :]
-        )
-        n_sel = n[jexit]
-        denom = (dirs * n_sel).sum(axis=2)
-        numer = np.take_along_axis(
-            offsets[None, :] - markers @ n.T, jexit, axis=1
-        )
+        numer = ((markers * n).sum(axis=1) - markers @ n.T).ravel()[pair]
+        denom = cos_th * (tangent @ n.T).ravel()[pair]
+        denom -= sin_th * (bis @ n.T).ravel()[pair]
         with np.errstate(divide="ignore", invalid="ignore"):
-            rho = np.where(denom > RAY_EPSILON, numer / denom, np.inf)
-        good = (widths > 0.0) & (rho > 0.0) & np.isfinite(rho)
-        contrib = np.zeros_like(rho)
-        contrib[good] = widths[good] * rho[good] ** (-alpha)
-        values = contrib.sum(axis=1)
+            rho = numer / denom
+        # rays that graze or never leave forward contribute inf**(-alpha) = 0
+        rho[~((denom > RAY_EPSILON) & (rho > 0.0))] = np.inf
+        values = np.add.reduceat(widths * rho ** (-alpha), start)
 
         vertexed = gaps > 0.0
         if vertexed.any():
@@ -308,8 +325,8 @@ def flow(
             raise GeometryError("markers must be an (m, 2) array, m >= 8")
         if _shoelace(markers) < 0.0:
             markers = markers[::-1].copy()
-    _, _, turns, _, _, _ = marker_frame(markers)
-    if turns.min() < -TURN_TOLERANCE:
+    frame = marker_frame(markers)
+    if frame[2].min() < -TURN_TOLERANCE:
         raise GeometryError("initial markers are not convex")
 
     evaluate = _MarkerEvaluator(alpha, options.rule_size)
@@ -317,7 +334,7 @@ def flow(
     area0 = _shoelace(markers)
     t = 0.0
     for step in range(options.max_steps):
-        values, turns, bis, lengths = evaluate(markers)
+        values, turns, bis, lengths = evaluate(markers, frame)
         area = _shoelace(markers)
         # a thin body collapses across its width long before marker spacing
         # shrinks; the mean-width proxy 2A/P puts dt on that clock too
@@ -344,12 +361,13 @@ def flow(
         markers = markers - dt * velocity
         t += dt
 
-        markers, changed = _restore_convexity(markers)
-        if changed:
+        markers, frame = _restore_convexity(markers)
+        if frame is None:
             trace.rehull_steps.append(step + 1)
-        if (step + 1) % options.resample_every == 0 or changed:
+        if (step + 1) % options.resample_every == 0 or frame is None:
             markers = resample_equal_arclength(markers, options.markers)
             trace.resampled_steps.append(step + 1)
+            frame = None
         if len(markers) < 8 or _shoelace(markers) <= 0.0:
             if _shoelace(markers) < 0.05 * area0:
                 trace.ending = "collapse"
@@ -372,16 +390,17 @@ def flow(
     return trace
 
 
-def _restore_convexity(markers: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Re-hull the polyline when a genuine dent appears; collinear runs stay."""
+def _restore_convexity(markers: np.ndarray):
+    """Re-hull the polyline when a genuine dent appears; collinear runs stay.
+    Returns the markers with their frame, or the hull with None."""
     try:
-        _, _, turns, _, _, _ = marker_frame(markers)
+        frame = marker_frame(markers)
+        if frame[2].min() >= -TURN_TOLERANCE:
+            return markers, frame
     except StepCollapseError:
-        turns = np.array([-1.0])
-    if turns.min() >= -TURN_TOLERANCE:
-        return markers, False
+        pass
     hull = ConvexHull(markers)
-    return markers[hull.vertices], True
+    return markers[hull.vertices], None
 
 
 def _clean_interior_steps(trace: FlowTrace) -> list:

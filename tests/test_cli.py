@@ -34,7 +34,7 @@ def test_halpha_ball2d_matches_disk_value(tmp_path):
     assert first["command"] == "halpha"
     assert first["body"] == "ball2d"
     assert first["form"] == "chord"
-    assert first["threads"] == 1
+    assert "threads" not in first
     assert len(first["point"]) == 2
 
 

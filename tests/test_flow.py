@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fracgeo.fixtures import load_fixture
 from fracgeo.geometry import Ball, GeometryError, make_body
 from fracgeo.flow import (
     FlowOptions,
@@ -174,15 +175,33 @@ def test_slab_midpoint_matches_closed_form():
 
 
 def test_evaluator_matches_reference():
-    ev = _MarkerEvaluator(ALPHA, 480)
-    for markers in (
+    marker_sets = (
+        circle_markers(8),  # the fewest markers a flow accepts
         circle_markers(64, radius=1.3),
+        circle_markers(256),  # every marker has the same gap
         sample_boundary(unit_square(), 64),
         sample_boundary(regular_polygon(11, 0.8, phase=0.3), 48),
-    ):
-        ref = marker_halpha(markers, ALPHA, 480)
-        got = ev(markers)[0]
-        assert np.abs(got - ref).max() < 1e-12 * ref.max()
+        sample_boundary(load_fixture("thinrect"), 64),  # collinear: no gap
+    )
+    for alpha in (0.1, 0.5, 0.75, 0.9):
+        ev = _MarkerEvaluator(alpha, 480)
+        for markers in marker_sets:
+            ref = marker_halpha(markers, alpha, 480)
+            got = ev(markers)[0]
+            assert np.abs(got - ref).max() < 1e-12 * ref.max()
+
+
+@pytest.mark.parametrize("name", ["ball2d", "square"])
+def test_flow_records_the_curvature_of_its_markers(name):
+    # the square's resamples move its markers; the disk's barely do
+    trace = flow(load_fixture(name), ALPHA, FlowOptions(markers=64, eps_extinct=0.3))
+    after_resample = trace.resampled_steps[0]
+    last = len(trace.states) - 1
+    picks = {1, 2, after_resample, after_resample + 1, last // 2, last}
+    for k in sorted(picks):
+        state = trace.states[k]
+        ref = marker_halpha(state.markers, ALPHA)
+        assert np.abs(state.halpha - ref).max() < 1e-12 * ref.max()
 
 
 # ---------------------------------------------------------------------------
