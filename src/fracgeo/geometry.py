@@ -102,6 +102,17 @@ def _frozen(a) -> np.ndarray:
     return out
 
 
+def _store(body, **arrays):
+    """Set a body's derived arrays, computed once at construction, read-only.
+
+    The properties that read them (facet normals and offsets, edges, face
+    corners and areas) return these shared arrays.
+    """
+    for name, a in arrays.items():
+        a.setflags(write=False)
+        object.__setattr__(body, name, a)
+
+
 @dataclass(frozen=True)
 class Polygon2D:
     """Strictly convex planar polygon, vertices in counter-clockwise order."""
@@ -112,27 +123,33 @@ class Polygon2D:
     dim = 2
     is_polytope = True
 
+    def __post_init__(self):
+        v = np.array(self.vertices, dtype=float, order="C")
+        e = np.roll(v, -1, axis=0) - v
+        nrm = np.stack([e[:, 1], -e[:, 0]], axis=1)
+        nrm = nrm / np.linalg.norm(nrm, axis=1, keepdims=True)
+        _store(self, vertices=v, _edges=e, _edge_lengths=np.linalg.norm(e, axis=1),
+               _normals=nrm, _offsets=np.einsum("ij,ij->i", nrm, v))
+
     @property
     def edge_count(self) -> int:
         return len(self.vertices)
 
     @property
     def edges(self) -> np.ndarray:
-        return np.roll(self.vertices, -1, axis=0) - self.vertices
+        return self._edges
 
     @property
     def edge_lengths(self) -> np.ndarray:
-        return np.linalg.norm(self.edges, axis=1)
+        return self._edge_lengths
 
     @property
     def facet_normals(self) -> np.ndarray:
-        e = self.edges
-        nrm = np.stack([e[:, 1], -e[:, 0]], axis=1)
-        return nrm / np.linalg.norm(nrm, axis=1, keepdims=True)
+        return self._normals
 
     @property
     def facet_offsets(self) -> np.ndarray:
-        return np.einsum("ij,ij->i", self.facet_normals, self.vertices)
+        return self._offsets
 
     def perimeter(self) -> float:
         return float(self.edge_lengths.sum())
@@ -146,13 +163,14 @@ class Polygon2D:
         d = self.vertices[:, None, :] - self.vertices[None, :, :]
         return float(np.sqrt((d * d).sum(axis=2)).max())
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
+    def contains(self, points) -> np.ndarray:
+        points = np.asarray(points, dtype=float)
         pts = np.atleast_2d(points)
         inside = np.all(pts @ self.facet_normals.T < self.facet_offsets, axis=1)
         return inside if points.ndim > 1 else bool(inside[0])
 
     def scaled(self, lam: float) -> "Polygon2D":
-        return Polygon2D(_frozen(self.vertices * lam))
+        return Polygon2D(self.vertices * lam)
 
 
 @dataclass(frozen=True)
@@ -166,26 +184,30 @@ class Hull3D:
     dim = 3
     is_polytope = True
 
+    def __post_init__(self):
+        v = np.array(self.vertices, dtype=float, order="C")
+        c = v[self.faces]
+        cr = np.cross(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0])
+        nrm = cr / np.linalg.norm(cr, axis=1, keepdims=True)
+        _store(self, vertices=v, faces=np.array(self.faces, order="C"), _corners=c,
+               _normals=nrm, _areas=0.5 * np.linalg.norm(cr, axis=1),
+               _offsets=np.einsum("ij,ij->i", nrm, c[:, 0]))
+
     @property
     def face_corners(self) -> np.ndarray:
-        return self.vertices[self.faces]
+        return self._corners
 
     @property
     def facet_normals(self) -> np.ndarray:
-        c = self.face_corners
-        nrm = np.cross(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0])
-        return nrm / np.linalg.norm(nrm, axis=1, keepdims=True)
+        return self._normals
 
     @property
     def face_areas(self) -> np.ndarray:
-        c = self.face_corners
-        return 0.5 * np.linalg.norm(
-            np.cross(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0]), axis=1
-        )
+        return self._areas
 
     @property
     def facet_offsets(self) -> np.ndarray:
-        return np.einsum("ij,ij->i", self.facet_normals, self.face_corners[:, 0])
+        return self._offsets
 
     def perimeter(self) -> float:
         return float(self.face_areas.sum())
@@ -202,13 +224,14 @@ class Hull3D:
         d = self.vertices[:, None, :] - self.vertices[None, :, :]
         return float(np.sqrt((d * d).sum(axis=2)).max())
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
+    def contains(self, points) -> np.ndarray:
+        points = np.asarray(points, dtype=float)
         pts = np.atleast_2d(points)
         inside = np.all(pts @ self.facet_normals.T < self.facet_offsets, axis=1)
         return inside if points.ndim > 1 else bool(inside[0])
 
     def scaled(self, lam: float) -> "Hull3D":
-        return Hull3D(_frozen(self.vertices * lam), self.faces)
+        return Hull3D(self.vertices * lam, self.faces)
 
 
 @dataclass(frozen=True)
@@ -238,7 +261,8 @@ class Ball:
     def diameter(self) -> float:
         return 2.0 * self.radius
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
+    def contains(self, points) -> np.ndarray:
+        points = np.asarray(points, dtype=float)
         pts = np.atleast_2d(points)
         inside = np.linalg.norm(pts - self.center, axis=1) < self.radius
         return inside if points.ndim > 1 else bool(inside[0])
@@ -294,7 +318,7 @@ def _validate_polygon(vertices) -> Polygon2D:
     turning = np.sum(np.arctan2(cross, np.einsum("ij,ij->i", e, np.roll(e, -1, axis=0))))
     if not np.isclose(turning, 2.0 * np.pi, atol=1e-8):
         raise NonConvexError("polygon boundary winds more than once")
-    return Polygon2D(_frozen(v))
+    return Polygon2D(v)
 
 
 def _validate_hull(vertices, faces) -> Hull3D:
@@ -332,7 +356,7 @@ def _validate_hull(vertices, faces) -> Hull3D:
     hull = ConvexHull(v)
     if len(hull.vertices) != len(v):
         raise NonConvexError("a vertex is not extreme")
-    body = Hull3D(_frozen(v), np.ascontiguousarray(f))
+    body = Hull3D(v, f)
     slack = v @ body.facet_normals.T - body.facet_offsets
     if slack.max() > 1e-9 * scale:
         raise NonConvexError("a face plane does not support the hull")
@@ -394,7 +418,10 @@ class SurfaceQuadrature:
     `patches` stores enough of each node's cell to subdivide it later:
     segment endpoints for polygon edges, angle intervals for circles,
     triangle corners for hull faces and sphere cells. `spacings` is the
-    cell diameter and drives near-field thresholds.
+    cell diameter and drives near-field thresholds. `matrices` holds the
+    read-only interaction matrices built on this node set, keyed by power
+    (see `nonlocal_ops.interaction_matrix`); it lives and dies with the
+    node set, so the arrays above must not change once one is built.
     """
 
     body: ConvexBody
@@ -404,6 +431,7 @@ class SurfaceQuadrature:
     facet_ids: np.ndarray
     spacings: np.ndarray
     patches: np.ndarray = field(repr=False)
+    matrices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def node_count(self) -> int:
@@ -549,21 +577,7 @@ def _refine_arc(ball, t0, t1, parts):
 
 
 def _refine_planar_triangle(corners, normal, levels):
-    tris = [corners]
-    for _ in range(levels):
-        nxt = []
-        for c in tris:
-            m01, m12, m20 = (c[0] + c[1]) / 2, (c[1] + c[2]) / 2, (c[2] + c[0]) / 2
-            nxt.extend(
-                [
-                    np.array([c[0], m01, m20]),
-                    np.array([c[1], m12, m01]),
-                    np.array([c[2], m20, m12]),
-                    np.array([m01, m12, m20]),
-                ]
-            )
-        tris = nxt
-    tris = np.array(tris)
+    tris = _planar_subtriangles(corners, levels)
     pts = tris.mean(axis=1)
     cr = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
     w = 0.5 * np.linalg.norm(cr, axis=1)

@@ -8,6 +8,8 @@ partitions the full solid angle 4*pi to rounding.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 _PHI = (1.0 + np.sqrt(5.0)) / 2.0
@@ -88,10 +90,21 @@ def spherical_triangle_areas(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.
 
 
 def sphere_mesh(level: int):
-    """Corners (F,3,3), projected barycenter nodes (F,3), solid angles (F,)."""
+    """Corners (F,3,3), projected barycenter nodes (F,3), solid angles (F,).
+
+    Built once per level; every call returns the same read-only arrays.
+    """
+    return _sphere_mesh(level)
+
+
+# cached behind a plain function, which bench/tracer.py can still wrap
+@functools.lru_cache(maxsize=None)
+def _sphere_mesh(level: int):
     v, f = icosphere(level)
     corners = v[f]
     nodes = corners.mean(axis=1)
     nodes /= np.linalg.norm(nodes, axis=1, keepdims=True)
     areas = spherical_triangle_areas(corners[:, 0], corners[:, 1], corners[:, 2])
+    for a in (corners, nodes, areas):
+        a.setflags(write=False)
     return corners, nodes, areas

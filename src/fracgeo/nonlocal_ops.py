@@ -411,36 +411,42 @@ def interaction_matrix(quad: SurfaceQuadrature, power: float) -> np.ndarray:
     """Symmetric matrix w_i w_j / |x_i - x_j|^power with near pairs refined.
 
     Pairs closer than two local spacings are re-evaluated on one 4-split
-    level of both cells. The diagonal is zero; callers assemble perimeters
-    and energies by masking.
+    level of both cells, all of them in one batched pass. The diagonal is
+    zero; callers assemble perimeters and energies by masking. The matrix is
+    built once per power and kept in `quad.matrices`, so every call on the
+    same node set returns the same read-only array: copy it before writing.
     """
+    key = float(power)
+    if key in quad.matrices:
+        return quad.matrices[key]
     pts = quad.points
     w = quad.weights
-    npts = quad.node_count
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
-    with np.errstate(divide="ignore"):
-        kernel = np.where(dist > 0.0, 1.0 / dist**power, 0.0)
-    mat = np.outer(w, w) * kernel
+    # |x_i - x_j| one coordinate at a time, so one (N, N) temporary is live
+    dist = np.zeros((quad.node_count, quad.node_count))
+    for k in range(pts.shape[1]):
+        step = np.subtract.outer(pts[:, k], pts[:, k])
+        dist += np.square(step, out=step)
+    np.sqrt(dist, out=dist)
+    limit = np.maximum.outer(quad.spacings, quad.spacings)
+    limit *= NEAR_FACTOR_PAIRS
+    near_i, near_j = np.nonzero(np.triu((dist < limit) & (dist > 0.0), 1))
+    del limit
+    dist **= power
+    mat = np.divide(1.0, dist, out=dist, where=dist > 0.0)
+    np.multiply(np.outer(w, w), mat, out=mat)
     np.fill_diagonal(mat, 0.0)
-    spacing = np.maximum(quad.spacings[:, None], quad.spacings[None, :])
-    near_i, near_j = np.nonzero((dist < NEAR_FACTOR_PAIRS * spacing) & (dist > 0.0))
-    cache: dict[int, tuple] = {}
-
-    def parts(i):
-        if i not in cache:
-            cache[i] = quad.refine_node(int(i), 1)
-        return cache[i]
-
-    for i, j in zip(near_i, near_j):
-        if i >= j:
-            continue
-        pi, _, wi = parts(i)
-        pj, _, wj = parts(j)
-        d = np.linalg.norm(pi[:, None, :] - pj[None, :, :], axis=2)
-        val = float(np.sum(np.outer(wi, wj) / d**power))
-        mat[i, j] = val
-        mat[j, i] = val
+    if len(near_i):
+        nodes, slot = np.unique(np.concatenate([near_i, near_j]), return_inverse=True)
+        parts = zip(*(quad.refine_node(int(i), 1) for i in nodes))
+        sub_pts, _, sub_w = (np.stack(arrays) for arrays in parts)
+        a, b = slot[: len(near_i)], slot[len(near_i) :]
+        d = np.linalg.norm(sub_pts[a][:, :, None, :] - sub_pts[b][:, None, :, :], axis=3)
+        terms = sub_w[a][:, :, None] * sub_w[b][:, None, :] / d**power
+        vals = terms.reshape(len(a), -1).sum(axis=1)
+        mat[near_i, near_j] = vals
+        mat[near_j, near_i] = vals
+    mat.setflags(write=False)
+    quad.matrices[key] = mat
     return mat
 
 

@@ -11,6 +11,7 @@ from fracgeo.geometry import (
     NotInwardError,
     NotPolytopeError,
     ParamError,
+    Hull3D,
     Params,
     Polygon2D,
     ResolutionTooLowError,
@@ -26,6 +27,7 @@ from fracgeo.geometry import (
     surface_quadrature,
 )
 from fracgeo.fixtures import load_fixture
+from fracgeo.icosphere import icosphere, sphere_mesh, spherical_triangle_areas
 
 import oracles
 
@@ -120,6 +122,99 @@ def test_hull_without_faces_is_triangulated():
     )
     assert cube.perimeter() == pytest.approx(6.0, rel=1e-12)
     assert cube.area() == pytest.approx(1.0, rel=1e-12)
+
+
+def _fresh_polygon_arrays(v):
+    e = np.roll(v, -1, axis=0) - v
+    nrm = np.stack([e[:, 1], -e[:, 0]], axis=1)
+    nrm = nrm / np.linalg.norm(nrm, axis=1, keepdims=True)
+    return {"edges": e, "edge_lengths": np.linalg.norm(e, axis=1),
+            "facet_normals": nrm, "facet_offsets": np.einsum("ij,ij->i", nrm, v)}
+
+
+def _fresh_hull_arrays(v, f):
+    c = v[f]
+    cr = np.cross(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0])
+    nrm = cr / np.linalg.norm(cr, axis=1, keepdims=True)
+    return {"face_corners": c, "facet_normals": nrm,
+            "face_areas": 0.5 * np.linalg.norm(cr, axis=1),
+            "facet_offsets": np.einsum("ij,ij->i", nrm, c[:, 0])}
+
+
+def _bit_equal(a, b):
+    return a.shape == b.shape and np.array_equal(
+        np.ascontiguousarray(a).view(np.uint64), np.ascontiguousarray(b).view(np.uint64)
+    )
+
+
+@pytest.mark.parametrize("name", ["square", "thinrect", "ellipse", "cube", "icosa"])
+def test_body_arrays_are_stored_read_only_and_exact(name):
+    if name == "ellipse":
+        theta = np.sort(np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, 40))
+        pts = np.stack([2.0 * np.cos(theta), np.sin(theta)], axis=1)
+        body = make_body({"type": "polygon", "vertices": pts})
+    else:
+        body = load_fixture(name)
+    for b in (body, body.scaled(2.5), body.scaled(1e-3)):
+        if isinstance(b, Hull3D):
+            fresh = _fresh_hull_arrays(b.vertices, b.faces)
+        else:
+            fresh = _fresh_polygon_arrays(b.vertices)
+        assert not b.vertices.flags.writeable
+        for attr, want in fresh.items():
+            got = getattr(b, attr)
+            assert got is getattr(b, attr)
+            assert not got.flags.writeable
+            assert _bit_equal(got, want), attr
+
+
+def test_body_freezes_a_copy_of_its_vertices():
+    v = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    poly = Polygon2D(v)
+    assert v.flags.writeable
+    v[0] = [0.5, 0.5]
+    assert np.array_equal(poly.vertices[0], [0.0, 0.0])
+    with pytest.raises(ValueError):
+        poly.facet_normals[0, 0] = 2.0
+    cube = load_fixture("cube")
+    verts = np.array(cube.vertices)
+    hull = Hull3D(verts, np.array(cube.faces))
+    verts *= 3.0
+    assert hull.perimeter() == pytest.approx(6.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["square", "cube", "ball2d", "ball3d"])
+def test_contains_accepts_lists_and_tuples(name):
+    body = load_fixture(name)
+    dim = body.dim
+    inner, outer = [0.01] * dim, [5.0] * dim
+    if name in ("square", "cube"):
+        inner = [0.5] * dim
+    for point, want in ((inner, True), (outer, False)):
+        got = body.contains(point)
+        assert isinstance(got, bool) and got is want
+        assert body.contains(tuple(point)) is want
+    many = body.contains([inner, outer, inner])
+    assert isinstance(many, np.ndarray)
+    assert many.tolist() == [True, False, True]
+    assert body.contains((tuple(inner), tuple(outer))).tolist() == [True, False]
+
+
+@pytest.mark.parametrize("level", [0, 2])
+def test_sphere_mesh_is_built_once_per_level(level):
+    first = sphere_mesh(level)
+    again = sphere_mesh(level)
+    v, f = icosphere(level)
+    corners = v[f]
+    nodes = corners.mean(axis=1)
+    nodes /= np.linalg.norm(nodes, axis=1, keepdims=True)
+    fresh = (corners, nodes,
+             spherical_triangle_areas(corners[:, 0], corners[:, 1], corners[:, 2]))
+    for got, same, want in zip(first, again, fresh):
+        assert got is same
+        assert not got.flags.writeable
+        assert _bit_equal(got, want)
+    assert sphere_mesh(level + 1)[1].shape == (20 * 4 ** (level + 1), 3)
 
 
 # ---------------------------------------------------------------------------

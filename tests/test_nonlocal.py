@@ -169,6 +169,51 @@ def test_interaction_matrix_shape_and_symmetry():
     assert mat.min() >= 0.0
 
 
+def test_interaction_matrix_is_built_once_per_power():
+    quad = surface_quadrature(unit_disk(), 120)
+    mat = interaction_matrix(quad, 1.5)
+    assert interaction_matrix(quad, 1.5) is mat
+    assert not mat.flags.writeable
+    with pytest.raises(ValueError):
+        mat[0, 1] = 0.0
+    other = interaction_matrix(quad, 2.5)
+    assert other is not mat and not np.array_equal(other, mat)
+    twin = surface_quadrature(unit_disk(), 120)
+    fresh = interaction_matrix(twin, 1.5)
+    assert fresh is not mat and np.array_equal(fresh, mat)
+    # frac_perimeter and gagliardo read the matrix the quadrature holds
+    upper = NodeSubset(quad, quad.points[:, 1] > 0)
+    frac_perimeter(upper, 0.5)
+    gagliardo(ScalarField.indicator(upper), 0.5, 1.0)
+    assert set(quad.matrices) == {1.5, 2.5}
+
+
+@pytest.mark.parametrize(
+    "name, res", [("square", 64), ("ball2d", 96), ("cube", 192), ("ball3d", 320)]
+)
+def test_batched_near_pairs_match_a_per_pair_loop(name, res):
+    quad = surface_quadrature(load_fixture(name), res)
+    power = quad.n + 0.5
+    mat = interaction_matrix(quad, power)
+    pts = quad.points
+    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    spacing = np.maximum(quad.spacings[:, None], quad.spacings[None, :])
+    near_i, near_j = np.nonzero((dist < 2.0 * spacing) & (dist > 0.0))
+    pairs = [(i, j) for i, j in zip(near_i, near_j) if i < j]
+    assert len(pairs) >= quad.node_count
+    want, got = [], []
+    for i, j in pairs:
+        pi, _, wi = quad.refine_node(int(i), 1)
+        pj, _, wj = quad.refine_node(int(j), 1)
+        d = np.linalg.norm(pi[:, None, :] - pj[None, :, :], axis=2)
+        want.append(float(np.sum(np.outer(wi, wj) / d**power)))
+        got.append((mat[i, j], mat[j, i]))
+    want = np.array(want)
+    got = np.array(got)
+    assert np.array_equal(got[:, 0].view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(got[:, 1].view(np.uint64), want.view(np.uint64))
+
+
 def test_frac_perimeter_trivial_sets():
     quad = surface_quadrature(unit_disk(), 120)
     empty = NodeSubset(quad, np.zeros(120, dtype=bool))
