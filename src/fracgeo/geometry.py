@@ -19,7 +19,7 @@ from typing import Optional, Union
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .icosphere import sphere_mesh, spherical_triangle_areas
+from .icosphere import sphere_cells, sphere_mesh, spherical_triangle_areas, split4
 
 # grazing-ray threshold for directional denominators
 RAY_EPSILON = 1e-12
@@ -472,9 +472,41 @@ class SurfaceQuadrature:
         """
         body = self.body
         x = np.asarray(x, dtype=float)
-        pts: list = []
-        nrms: list = []
-        wts: list = []
+        if body.n == 2:
+            # hull face or sphere cell, one depth level at a time; the leaves
+            # are put back in the order of a depth-first stack that pops the
+            # last child first (path key: 3 - child per level, padded to
+            # max_depth digits), so every sum over them rounds as that walk's
+            sphere = isinstance(body, Ball)
+            cells = np.asarray(self.patches[i], dtype=float)[None]
+            if sphere:
+                cells = (cells - body.center) / body.radius
+            keys = np.zeros(1, dtype=np.int64)
+            parts = []
+            for depth in range(max_depth + 1):
+                ctr = cells.mean(axis=1)
+                diam = _norms(cells - cells[:, [1, 2, 0]]).max(axis=1)
+                if sphere:
+                    ctr /= _norms(ctr)[:, None]
+                    pts = body.center + body.radius * ctr
+                    diam = body.radius * diam
+                else:
+                    pts = ctr
+                split = (depth < max_depth) & (diam > ratio * _norms(pts - x))
+                leaf = ~split
+                parts.append((keys[leaf] * 4 ** (max_depth - depth), cells[leaf], ctr[leaf], pts[leaf]))
+                if not split.any():
+                    break
+                cells = split4(cells[split], sphere)
+                keys = (4 * keys[split, None] + [3, 2, 1, 0]).ravel()
+            path, c, ctr, pts = (np.concatenate(a) for a in zip(*parts))
+            order = np.argsort(path)
+            c, ctr, pts = c[order], ctr[order], pts[order]
+            if sphere:
+                return pts, ctr, body.radius**2 * spherical_triangle_areas(c[:, 0], c[:, 1], c[:, 2])
+            w = 0.5 * _norms(np.cross(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0]))
+            return pts, np.tile(self.normals[i], (len(c), 1)), w
+        pts, nrms, wts = [], [], []
         if isinstance(body, Polygon2D):
             nrm = self.normals[i]
             a, b = self.patches[i]
@@ -490,7 +522,7 @@ class SurfaceQuadrature:
                     pts.append(mid)
                     nrms.append(nrm)
                     wts.append(length)
-        elif isinstance(body, Ball) and body.dim == 2:
+        else:
             t0, t1 = self.patches[i]
             stack = [(float(t0), float(t1), 0)]
             while stack:
@@ -506,58 +538,6 @@ class SurfaceQuadrature:
                     pts.append(p)
                     nrms.append(d)
                     wts.append(size)
-        elif isinstance(body, Hull3D):
-            nrm = self.normals[i]
-            stack = [(np.asarray(self.patches[i], dtype=float), 0)]
-            while stack:
-                c, depth = stack.pop()
-                ctr = c.mean(axis=0)
-                diam = max(
-                    np.linalg.norm(c[0] - c[1]),
-                    np.linalg.norm(c[1] - c[2]),
-                    np.linalg.norm(c[2] - c[0]),
-                )
-                if depth < max_depth and diam > ratio * np.linalg.norm(ctr - x):
-                    m01, m12, m20 = (c[0] + c[1]) / 2, (c[1] + c[2]) / 2, (c[2] + c[0]) / 2
-                    stack.append((np.array([c[0], m01, m20]), depth + 1))
-                    stack.append((np.array([c[1], m12, m01]), depth + 1))
-                    stack.append((np.array([c[2], m20, m12]), depth + 1))
-                    stack.append((np.array([m01, m12, m20]), depth + 1))
-                else:
-                    pts.append(ctr)
-                    nrms.append(nrm)
-                    wts.append(0.5 * np.linalg.norm(np.cross(c[1] - c[0], c[2] - c[0])))
-        else:
-            units0 = (np.asarray(self.patches[i], dtype=float) - body.center) / body.radius
-            stack = [(units0, 0)]
-            while stack:
-                c, depth = stack.pop()
-                bary = c.mean(axis=0)
-                bary /= np.linalg.norm(bary)
-                p = body.center + body.radius * bary
-                diam = body.radius * max(
-                    np.linalg.norm(c[0] - c[1]),
-                    np.linalg.norm(c[1] - c[2]),
-                    np.linalg.norm(c[2] - c[0]),
-                )
-                if depth < max_depth and diam > ratio * np.linalg.norm(p - x):
-                    m01, m12, m20 = c[0] + c[1], c[1] + c[2], c[2] + c[0]
-                    m01, m12, m20 = (m / np.linalg.norm(m) for m in (m01, m12, m20))
-                    stack.append((np.array([c[0], m01, m20]), depth + 1))
-                    stack.append((np.array([c[1], m12, m01]), depth + 1))
-                    stack.append((np.array([c[2], m20, m12]), depth + 1))
-                    stack.append((np.array([m01, m12, m20]), depth + 1))
-                else:
-                    pts.append(p)
-                    nrms.append(bary)
-                    wts.append(
-                        body.radius**2
-                        * float(
-                            spherical_triangle_areas(
-                                c[0][None], c[1][None], c[2][None]
-                            )[0]
-                        )
-                    )
         return np.array(pts), np.array(nrms), np.array(wts)
 
 
@@ -577,36 +557,31 @@ def _refine_arc(ball, t0, t1, parts):
 
 
 def _refine_planar_triangle(corners, normal, levels):
-    tris = _planar_subtriangles(corners, levels)
-    pts = tris.mean(axis=1)
+    tris = _split_levels(np.asarray(corners)[None], levels)
+    return _planar_cells(tris, np.asarray(normal)[None], 4**levels)
+
+
+def _planar_cells(tris, normals, repeat):
+    """Barycenters, normals (each repeated `repeat` times) and areas."""
     cr = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
-    w = 0.5 * np.linalg.norm(cr, axis=1)
-    return pts, np.tile(normal, (len(pts), 1)), w
+    return tris.mean(axis=1), np.repeat(normals, repeat, axis=0), 0.5 * np.linalg.norm(cr, axis=1)
 
 
 def _refine_sphere_triangle(ball, corners, levels):
-    units = [(np.asarray(corners) - ball.center) / ball.radius]
+    units = _split_levels((np.asarray(corners)[None] - ball.center) / ball.radius, levels, True)
+    bary, solid = sphere_cells(units)
+    return ball.center + ball.radius * bary, bary, ball.radius**2 * solid
+
+
+def _split_levels(tris, levels, sphere=False):
     for _ in range(levels):
-        nxt = []
-        for c in units:
-            m01 = c[0] + c[1]
-            m12 = c[1] + c[2]
-            m20 = c[2] + c[0]
-            m01, m12, m20 = (m / np.linalg.norm(m) for m in (m01, m12, m20))
-            nxt.extend(
-                [
-                    np.array([c[0], m01, m20]),
-                    np.array([c[1], m12, m01]),
-                    np.array([c[2], m20, m12]),
-                    np.array([m01, m12, m20]),
-                ]
-            )
-        units = nxt
-    units = np.array(units)
-    bary = units.mean(axis=1)
-    bary /= np.linalg.norm(bary, axis=1, keepdims=True)
-    w = ball.radius**2 * spherical_triangle_areas(units[:, 0], units[:, 1], units[:, 2])
-    return ball.center + ball.radius * bary, bary, w
+        tris = split4(tris, sphere)
+    return tris
+
+
+def _norms(v):
+    """Row norms that round exactly like `np.linalg.norm` of each row alone."""
+    return np.sqrt(np.vecdot(v, v))
 
 
 def surface_quadrature(body: ConvexBody, resolution: int) -> SurfaceQuadrature:
@@ -678,25 +653,16 @@ def surface_quadrature(body: ConvexBody, resolution: int) -> SurfaceQuadrature:
         level = 0
         while nfaces * 4**level < resolution:
             level += 1
-        pts, nrms, wts, fids, spac, patches = [], [], [], [], [], []
-        normals = body.facet_normals
-        for fidx, corners in enumerate(body.face_corners):
-            p, nr, w = _refine_planar_triangle(corners, normals[fidx], level)
-            tris = _planar_subtriangles(corners, level)
-            pts.append(p)
-            nrms.append(nr)
-            wts.append(w)
-            fids.append(np.full(len(p), fidx, dtype=int))
-            spac.append(_triangle_diameters(tris))
-            patches.append(tris)
+        tris = _split_levels(body.face_corners, level)
+        pts, nrms, wts = _planar_cells(tris, body.facet_normals, 4**level)
         return SurfaceQuadrature(
             body,
-            np.concatenate(pts),
-            np.concatenate(nrms),
-            np.concatenate(wts),
-            np.concatenate(fids),
-            np.concatenate(spac),
-            np.concatenate(patches),
+            pts,
+            nrms,
+            wts,
+            np.repeat(np.arange(nfaces), 4**level),
+            _triangle_diameters(tris),
+            tris,
         )
 
     # sphere
@@ -717,24 +683,6 @@ def surface_quadrature(body: ConvexBody, resolution: int) -> SurfaceQuadrature:
         _triangle_diameters(patches),
         patches,
     )
-
-
-def _planar_subtriangles(corners, levels):
-    tris = [np.asarray(corners)]
-    for _ in range(levels):
-        nxt = []
-        for c in tris:
-            m01, m12, m20 = (c[0] + c[1]) / 2, (c[1] + c[2]) / 2, (c[2] + c[0]) / 2
-            nxt.extend(
-                [
-                    np.array([c[0], m01, m20]),
-                    np.array([c[1], m12, m01]),
-                    np.array([c[2], m20, m12]),
-                    np.array([m01, m12, m20]),
-                ]
-            )
-        tris = nxt
-    return np.array(tris)
 
 
 def _triangle_diameters(tris):
@@ -931,24 +879,13 @@ def _cap_cells(body, x, radius, corners, nodes, solid, depth):
     straddle = ~(uniform_in | uniform_out)
     if depth == 0:
         return total + float(solid[straddle & node_in].sum())
-    for idx in np.nonzero(straddle)[0]:
-        c = corners[idx]
-        m01 = c[0] + c[1]
-        m12 = c[1] + c[2]
-        m20 = c[2] + c[0]
-        m01, m12, m20 = (m / np.linalg.norm(m) for m in (m01, m12, m20))
-        sub = np.array(
-            [
-                [c[0], m01, m20],
-                [c[1], m12, m01],
-                [c[2], m20, m12],
-                [m01, m12, m20],
-            ]
+    subs = split4(corners[straddle], sphere=True)
+    bary, areas = sphere_cells(subs)
+    # one parent at a time, so the sum keeps the order of a depth-first walk
+    for k in range(0, len(subs), 4):
+        total += _cap_cells(
+            body, x, radius, subs[k : k + 4], bary[k : k + 4], areas[k : k + 4], depth - 1
         )
-        bary = sub.mean(axis=1)
-        bary /= np.linalg.norm(bary, axis=1, keepdims=True)
-        areas = spherical_triangle_areas(sub[:, 0], sub[:, 1], sub[:, 2])
-        total += _cap_cells(body, x, radius, sub, bary, areas, depth - 1)
     return total
 
 

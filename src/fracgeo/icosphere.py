@@ -1,7 +1,8 @@
 """Subdivided icosahedral triangulations of the unit sphere.
 
 Shared by spherical quadrature rules and by surface node generation for
-ball bodies. Subdivision is the standard 4-split with midpoint projection;
+ball bodies. Subdivision is the standard 4-split with midpoint projection
+(`split4`, the one triangle split every refinement in the package uses);
 cell weights are exact spherical triangle areas, so every triangulation
 partitions the full solid angle 4*pi to rounding.
 """
@@ -42,35 +43,27 @@ def icosahedron() -> tuple[np.ndarray, np.ndarray]:
     return v, f
 
 
-def subdivide(vertices: np.ndarray, faces: np.ndarray):
-    """One 4-split: edge midpoints projected back to the unit sphere."""
-    midpoint_cache: dict[tuple[int, int], int] = {}
-    verts = [tuple(p) for p in vertices]
-
-    def midpoint(i, j):
-        key = (i, j) if i < j else (j, i)
-        if key not in midpoint_cache:
-            m = (vertices[i] + vertices[j]) / 2.0
-            m /= np.linalg.norm(m)
-            midpoint_cache[key] = len(verts)
-            verts.append(tuple(m))
-        return midpoint_cache[key]
-
-    new_faces = []
-    for a, b, c in faces:
-        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-        new_faces.extend([[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]])
-    return np.array(verts, dtype=float), np.array(new_faces, dtype=int)
+# split4's children: indices into the corners followed by the edge midpoints
+_CHILDREN = np.array([[0, 3, 5], [1, 4, 3], [2, 5, 4], [3, 4, 5]])
 
 
-def icosphere(level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Triangulation after `level` 4-splits: 20 * 4**level faces."""
-    if level < 0:
-        raise ValueError("subdivision level must be >= 0")
-    v, f = icosahedron()
-    for _ in range(level):
-        v, f = subdivide(v, f)
-    return v, f
+def split4(tris: np.ndarray, sphere: bool = False) -> np.ndarray:
+    """One midpoint 4-split of every triangle: (k, 3, d) corners to (4k, 3, d).
+
+    Each parent's four children stay together, in the order
+    [c0, m01, m20], [c1, m12, m01], [c2, m20, m12], [m01, m12, m20].
+    Flat midpoints are (a + b) / 2; sphere midpoints (unit-vector corners)
+    are (a + b) / |a + b|, with the norm taken by a dot product so that it
+    rounds exactly like `np.linalg.norm` of a single vector.
+    """
+    tris = np.asarray(tris, dtype=float)
+    mids = tris + tris[:, [1, 2, 0]]  # c0 + c1, c1 + c2, c2 + c0
+    if sphere:
+        mids /= np.sqrt(np.vecdot(mids, mids))[..., None]
+    else:
+        mids /= 2.0
+    points = np.concatenate([tris, mids], axis=1)  # c0, c1, c2, m01, m12, m20
+    return points[:, _CHILDREN].reshape(-1, 3, tris.shape[2])
 
 
 def spherical_triangle_areas(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -89,6 +82,13 @@ def spherical_triangle_areas(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.
     return 2.0 * np.arctan2(num, den)
 
 
+def sphere_cells(tris: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Projected barycenters (k,3) and solid angles (k,) of unit-sphere triangles."""
+    bary = tris.mean(axis=1)
+    bary /= np.linalg.norm(bary, axis=1, keepdims=True)
+    return bary, spherical_triangle_areas(tris[:, 0], tris[:, 1], tris[:, 2])
+
+
 def sphere_mesh(level: int):
     """Corners (F,3,3), projected barycenter nodes (F,3), solid angles (F,).
 
@@ -100,11 +100,13 @@ def sphere_mesh(level: int):
 # cached behind a plain function, which bench/tracer.py can still wrap
 @functools.lru_cache(maxsize=None)
 def _sphere_mesh(level: int):
-    v, f = icosphere(level)
+    if level < 0:
+        raise ValueError("subdivision level must be >= 0")
+    v, f = icosahedron()
     corners = v[f]
-    nodes = corners.mean(axis=1)
-    nodes /= np.linalg.norm(nodes, axis=1, keepdims=True)
-    areas = spherical_triangle_areas(corners[:, 0], corners[:, 1], corners[:, 2])
+    for _ in range(level):
+        corners = split4(corners, sphere=True)
+    nodes, areas = sphere_cells(corners)
     for a in (corners, nodes, areas):
         a.setflags(write=False)
     return corners, nodes, areas

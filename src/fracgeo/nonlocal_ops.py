@@ -32,7 +32,7 @@ from .geometry import (
     ray_exits,
     surface_normal,
 )
-from .icosphere import spherical_triangle_areas
+from .icosphere import sphere_cells, split4
 from .quadrature import GradedHalfRule, graded_half_rule, graded_interval
 
 # directions used for chord-form curvature when no rule is supplied
@@ -258,36 +258,16 @@ def _own_cell_sum(quad: SurfaceQuadrature, idx: int, exponent: float) -> float:
     units = (np.asarray(quad.patches[idx]) - body.center) / radius
     last = 0.0
     for _ in range(OWN_CELL_DEPTH):
-        c = units
-        m01 = c[0] + c[1]
-        m12 = c[1] + c[2]
-        m20 = c[2] + c[0]
-        m01, m12, m20 = (m / np.linalg.norm(m) for m in (m01, m12, m20))
-        shell = np.array(
-            [[c[0], m01, m20], [c[1], m12, m01], [c[2], m20, m12]]
-        )
+        children = split4(units[None], sphere=True)
+        shell = children[:3]
         for _ in range(3):
-            a, b, cc = shell[:, 0], shell[:, 1], shell[:, 2]
-            ab = a + b
-            bc = b + cc
-            ca = cc + a
-            for m in (ab, bc, ca):
-                m /= np.linalg.norm(m, axis=1, keepdims=True)
-            shell = np.concatenate([
-                np.stack([a, ab, ca], axis=1),
-                np.stack([b, bc, ab], axis=1),
-                np.stack([cc, ca, bc], axis=1),
-                np.stack([ab, bc, ca], axis=1),
-            ])
-        bary = shell.mean(axis=1)
-        bary /= np.linalg.norm(bary, axis=1, keepdims=True)
-        w = radius**2 * spherical_triangle_areas(
-            shell[:, 0], shell[:, 1], shell[:, 2]
-        )
+            shell = split4(shell, sphere=True)
+        bary, solid = sphere_cells(shell)
+        w = radius**2 * solid
         chords = radius * np.linalg.norm(bary - x_unit, axis=1)
         last = float((w * chords ** (2.0 - exponent)).sum())
         total += last
-        units = np.array([m01, m12, m20])
+        units = children[3]
         # once the shells are flat their contributions decay geometrically;
         # summing the tail in closed form avoids driving the triangle areas
         # into rounding-degenerate territory
@@ -396,11 +376,34 @@ def double_layer(
 
     Unrestricted, this recovers half the sphere measure at every boundary
     point of every convex body; restricted to a node subset or a ball around
-    x it measures the region's angular content seen from x.
+    x it measures the region's angular content seen from x. On polygons the
+    sum is exact: each cell adds the angle it subtends from x.
     """
     include = subset.mask if subset is not None else None
+    if isinstance(quad.body, Polygon2D):
+        return _polygon_angle(quad, x, include, within)
     value, _ = _boundary_sum(quad, x, quad.body.n + 1.0, include=include, within=within)
     return value
+
+
+def _polygon_angle(quad, x, include, within):
+    """Angle the active edge cells subtend from x, each clipped to the disk."""
+    pt, idx = _resolve_node(quad, x)
+    active = quad.facet_ids != _facet_of(quad, pt, idx)
+    if include is not None:
+        active &= np.asarray(include, dtype=bool)
+    a = quad.patches[active, 0] - pt
+    b = quad.patches[active, 1] - pt
+    if within is not None:
+        # a + t (b - a) meets the circle where |d|^2 t^2 + 2 (a.d) t + |a|^2 = r^2
+        d = b - a
+        dd, ad = np.vecdot(d, d), np.vecdot(a, d)
+        root = np.sqrt(np.maximum(ad**2 - dd * (np.vecdot(a, a) - within**2), 0.0))
+        t0 = np.clip((-ad - root) / dd, 0.0, 1.0)[:, None]
+        t1 = np.clip((-ad + root) / dd, 0.0, 1.0)[:, None]
+        a, b = a + t0 * d, a + t1 * d
+    cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    return float(np.arctan2(cross, np.vecdot(a, b)).sum())
 
 
 # ---------------------------------------------------------------------------

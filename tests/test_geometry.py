@@ -27,7 +27,7 @@ from fracgeo.geometry import (
     surface_quadrature,
 )
 from fracgeo.fixtures import load_fixture
-from fracgeo.icosphere import icosphere, sphere_mesh, spherical_triangle_areas
+from fracgeo.icosphere import icosahedron, sphere_mesh, spherical_triangle_areas, split4
 
 import oracles
 
@@ -200,11 +200,34 @@ def test_contains_accepts_lists_and_tuples(name):
     assert body.contains((tuple(inner), tuple(outer))).tolist() == [True, False]
 
 
-@pytest.mark.parametrize("level", [0, 2])
+def _indexed_subdivide(vertices, faces):
+    """Reference 4-split on a shared-vertex mesh, one edge midpoint per edge."""
+    midpoint_cache = {}
+    verts = [tuple(p) for p in vertices]
+
+    def midpoint(i, j):
+        key = (i, j) if i < j else (j, i)
+        if key not in midpoint_cache:
+            m = (vertices[i] + vertices[j]) / 2.0
+            m /= np.linalg.norm(m)
+            midpoint_cache[key] = len(verts)
+            verts.append(tuple(m))
+        return midpoint_cache[key]
+
+    new_faces = []
+    for a, b, c in faces:
+        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+        new_faces.extend([[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]])
+    return np.array(verts, dtype=float), np.array(new_faces, dtype=int)
+
+
+@pytest.mark.parametrize("level", [0, 2, 3])
 def test_sphere_mesh_is_built_once_per_level(level):
     first = sphere_mesh(level)
     again = sphere_mesh(level)
-    v, f = icosphere(level)
+    v, f = icosahedron()
+    for _ in range(level):
+        v, f = _indexed_subdivide(v, f)
     corners = v[f]
     nodes = corners.mean(axis=1)
     nodes /= np.linalg.norm(nodes, axis=1, keepdims=True)
@@ -215,6 +238,115 @@ def test_sphere_mesh_is_built_once_per_level(level):
         assert not got.flags.writeable
         assert _bit_equal(got, want)
     assert sphere_mesh(level + 1)[1].shape == (20 * 4 ** (level + 1), 3)
+
+
+# ---------------------------------------------------------------------------
+# the triangle 4-split
+
+
+def _flat_area(tris):
+    cr = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
+    return 0.5 * np.linalg.norm(cr, axis=1)
+
+
+def test_flat_split_is_parent_major_with_exact_quarters():
+    tris = np.random.default_rng(3).uniform(-1.0, 1.0, size=(5, 3, 3))
+    kids = split4(tris)
+    assert kids.shape == (20, 3, 3)
+    for k, c in enumerate(tris):
+        m01, m12, m20 = (c[0] + c[1]) / 2, (c[1] + c[2]) / 2, (c[2] + c[0]) / 2
+        want = np.array([[c[0], m01, m20], [c[1], m12, m01], [c[2], m20, m12], [m01, m12, m20]])
+        assert _bit_equal(kids[4 * k : 4 * k + 4], want)
+    # the medial triangle and the three corner triangles all have a quarter
+    # of the parent's area; on dyadic corners the quarters are exact
+    def doubled(t):
+        u, v = t[:, 1] - t[:, 0], t[:, 2] - t[:, 0]
+        return np.abs(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
+
+    grid = np.random.default_rng(4).integers(-64, 64, size=(6, 3, 2)).astype(float)
+    grid = grid[doubled(grid) > 0]
+    assert np.array_equal(doubled(split4(grid)), np.repeat(doubled(grid) / 4.0, 4))
+    assert np.allclose(_flat_area(kids), np.repeat(_flat_area(tris) / 4.0, 4), rtol=1e-13)
+
+
+def test_sphere_split_partitions_the_solid_angle():
+    rng = np.random.default_rng(5)
+    centres = rng.normal(size=(40, 1, 3))
+    tris = centres + 0.3 * rng.normal(size=(40, 3, 3))
+    tris /= np.linalg.norm(tris, axis=2, keepdims=True)
+    kids = split4(tris, sphere=True)
+    # unit to within the rounding of the norm that measures it
+    assert np.allclose(np.linalg.norm(kids, axis=2), 1.0, rtol=0.0, atol=4.5e-16)
+    area = lambda t: spherical_triangle_areas(t[:, 0], t[:, 1], t[:, 2])
+    sums = area(kids).reshape(-1, 4).sum(axis=1)
+    assert np.max(np.abs(sums - area(tris))) <= 1e-15
+    # corners pass through; midpoints round like one vector's norm
+    for k, c in enumerate(tris):
+        m01 = (c[0] + c[1]) / np.linalg.norm(c[0] + c[1])
+        assert _bit_equal(kids[4 * k, 0], c[0]) and _bit_equal(kids[4 * k, 1], m01)
+
+
+def _stack_refine_towards(quad, i, x, ratio=0.4, max_depth=16):
+    """Reference: one cell at a time on a stack, last child popped first."""
+    body = quad.body
+    sphere = isinstance(body, Ball)
+    c0 = np.asarray(quad.patches[i], dtype=float)
+    if sphere:
+        c0 = (c0 - body.center) / body.radius
+    pts, nrms, wts = [], [], []
+    stack = [(c0, 0)]
+    while stack:
+        c, depth = stack.pop()
+        ctr = c.mean(axis=0)
+        if sphere:
+            ctr /= np.linalg.norm(ctr)
+            p = body.center + body.radius * ctr
+            scale = body.radius
+        else:
+            p, scale = ctr, 1.0
+        diam = scale * max(
+            np.linalg.norm(c[0] - c[1]), np.linalg.norm(c[1] - c[2]), np.linalg.norm(c[2] - c[0])
+        )
+        if depth < max_depth and diam > ratio * np.linalg.norm(p - x):
+            if sphere:
+                m01, m12, m20 = c[0] + c[1], c[1] + c[2], c[2] + c[0]
+                m01, m12, m20 = (m / np.linalg.norm(m) for m in (m01, m12, m20))
+            else:
+                m01, m12, m20 = (c[0] + c[1]) / 2, (c[1] + c[2]) / 2, (c[2] + c[0]) / 2
+            stack.append((np.array([c[0], m01, m20]), depth + 1))
+            stack.append((np.array([c[1], m12, m01]), depth + 1))
+            stack.append((np.array([c[2], m20, m12]), depth + 1))
+            stack.append((np.array([m01, m12, m20]), depth + 1))
+        elif sphere:
+            pts.append(p)
+            nrms.append(ctr)
+            wts.append(body.radius**2 * float(
+                spherical_triangle_areas(c[0][None], c[1][None], c[2][None])[0]))
+        else:
+            pts.append(ctr)
+            nrms.append(quad.normals[i])
+            wts.append(0.5 * np.linalg.norm(np.cross(c[1] - c[0], c[2] - c[0])))
+    return np.array(pts), np.array(nrms), np.array(wts)
+
+
+@pytest.mark.parametrize("name", ["icosa", "cube", "ball3d"])
+def test_refine_towards_matches_the_depth_first_stack(name):
+    quad = surface_quadrature(load_fixture(name), 200)
+    rng = np.random.default_rng(6)
+    cases = 0
+    for i in rng.integers(0, quad.node_count, 4):
+        i = int(i)
+        near = quad.points[i] + 0.3 * (quad.patches[i][0] - quad.points[i])
+        neighbour = quad.points[int(np.argsort(np.linalg.norm(quad.points - quad.points[i], axis=1))[1])]
+        far = quad.points[int(rng.integers(quad.node_count))]
+        for x in (near, neighbour, far):
+            for max_depth in (16, 3):
+                got = quad.refine_towards(i, x, max_depth=max_depth)
+                want = _stack_refine_towards(quad, i, x, max_depth=max_depth)
+                for g, w in zip(got, want):
+                    assert _bit_equal(g, w)
+                cases += len(want[2]) > 1
+    assert cases > 0  # the near points did split their cells
 
 
 # ---------------------------------------------------------------------------

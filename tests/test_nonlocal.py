@@ -8,6 +8,7 @@ from fracgeo.geometry import (
     GeometryError,
     NodeSubset,
     make_body,
+    sphere_cap_measure,
     surface_quadrature,
 )
 from fracgeo.nonlocal_ops import (
@@ -22,7 +23,9 @@ from fracgeo.nonlocal_ops import (
     tail_integral,
 )
 from fracgeo.fixtures import FIXTURE_NAMES, load_fixture
+from fracgeo.inequalities import corpus
 from fracgeo.inequalities.corpus import rectangle
+from fracgeo.inequalities.suite import PROFILES
 
 import oracles
 
@@ -284,6 +287,29 @@ def test_double_layer_full_square():
 def test_double_layer_full_icosahedron():
     quad = surface_quadrature(load_fixture("icosa"), 80)
     assert double_layer(quad, 0) == pytest.approx(2.0 * np.pi, rel=0.02)
+
+
+def test_polygon_double_layer_is_exact_across_seeds():
+    # the curvature section's planar gauss-law body, drawn from each seed
+    prof = PROFILES["default"]
+    worst = 0.0
+    for seed in range(200):
+        body = corpus.body_corpus(seed, prof["n1"], prof["n2"])[1][1]
+        quad = surface_quadrature(body, prof["res"][1])
+        for i in range(quad.node_count):
+            worst = max(worst, abs(double_layer(quad, i) - np.pi))
+    assert worst <= 1e-11
+
+
+@pytest.mark.parametrize("body", [unit_square(), corpus.regular_polygon(11, 0.8)])
+def test_polygon_angle_within_radius_plus_cap_is_half_circle(body):
+    quad = surface_quadrature(body, 64)
+    for i in (0, 5, 17, 40):
+        x = quad.points[i]
+        for radius in (0.05, 0.3, 0.7, 1.2, 2.5):
+            near = double_layer(quad, i, within=radius)
+            cap = sphere_cap_measure(body, x, radius) / radius
+            assert near + cap == pytest.approx(np.pi, abs=1e-9)
 
 
 def test_double_layer_monotone_in_region():
