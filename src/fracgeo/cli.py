@@ -211,8 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--form", choices=("chord", "boundary"), default="chord")
     p.add_argument("--resolution", type=int, default=None,
-                   help="direction count for the chord form "
-                   f"(defaults {DEFAULT_CHORD_DIRECTIONS})")
+                   help="direction count for the chord form on surfaces "
+                   f"(default {DEFAULT_CHORD_DIRECTIONS}); planar bodies are exact")
     p.add_argument("--surface-resolution", type=int, default=64)
     p.add_argument("--count", type=int, default=8, help="nodes to evaluate")
     p.set_defaults(func=_cmd_halpha)

@@ -462,83 +462,49 @@ class SurfaceQuadrature:
         return _refine_sphere_triangle(body, self.patches[i], levels)
 
     def refine_towards(self, i: int, x, ratio: float = 0.4, max_depth: int = 16):
-        """Split cell i until every part is small next to its distance from x.
+        """Split cell i (a triangle) until every part is small next to its distance from x.
 
         Parts at distance d stop splitting once their diameter drops under
         ratio * d, grading the sub-cells geometrically toward x. This is what
         near-singular kernels need when the evaluation point sits just off
         the cell, where any fixed split depth loses an O(1) contribution.
         Returns (points, normals, weights); weights still sum to the parent's.
+        The cell splits one depth level at a time; the leaves are put back in
+        the order of a depth-first stack that pops the last child first (path
+        key: 3 - child per level, padded to max_depth digits), so every sum
+        over them rounds as that walk's.
         """
         body = self.body
         x = np.asarray(x, dtype=float)
-        if body.n == 2:
-            # hull face or sphere cell, one depth level at a time; the leaves
-            # are put back in the order of a depth-first stack that pops the
-            # last child first (path key: 3 - child per level, padded to
-            # max_depth digits), so every sum over them rounds as that walk's
-            sphere = isinstance(body, Ball)
-            cells = np.asarray(self.patches[i], dtype=float)[None]
+        sphere = isinstance(body, Ball)
+        cells = np.asarray(self.patches[i], dtype=float)[None]
+        if sphere:
+            cells = (cells - body.center) / body.radius
+        keys = np.zeros(1, dtype=np.int64)
+        parts = []
+        for depth in range(max_depth + 1):
+            ctr = cells.mean(axis=1)
+            diam = _norms(cells - cells[:, [1, 2, 0]]).max(axis=1)
             if sphere:
-                cells = (cells - body.center) / body.radius
-            keys = np.zeros(1, dtype=np.int64)
-            parts = []
-            for depth in range(max_depth + 1):
-                ctr = cells.mean(axis=1)
-                diam = _norms(cells - cells[:, [1, 2, 0]]).max(axis=1)
-                if sphere:
-                    ctr /= _norms(ctr)[:, None]
-                    pts = body.center + body.radius * ctr
-                    diam = body.radius * diam
-                else:
-                    pts = ctr
-                split = (depth < max_depth) & (diam > ratio * _norms(pts - x))
-                leaf = ~split
-                parts.append((keys[leaf] * 4 ** (max_depth - depth), cells[leaf], ctr[leaf], pts[leaf]))
-                if not split.any():
-                    break
-                cells = split4(cells[split], sphere)
-                keys = (4 * keys[split, None] + [3, 2, 1, 0]).ravel()
-            path, c, ctr, pts = (np.concatenate(a) for a in zip(*parts))
-            order = np.argsort(path)
-            c, ctr, pts = c[order], ctr[order], pts[order]
-            if sphere:
-                return pts, ctr, body.radius**2 * spherical_triangle_areas(c[:, 0], c[:, 1], c[:, 2])
-            w = 0.5 * _norms(np.cross(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0]))
-            return pts, np.tile(self.normals[i], (len(c), 1)), w
-        pts, nrms, wts = [], [], []
-        if isinstance(body, Polygon2D):
-            nrm = self.normals[i]
-            a, b = self.patches[i]
-            stack = [(np.asarray(a, dtype=float), np.asarray(b, dtype=float), 0)]
-            while stack:
-                a0, b0, depth = stack.pop()
-                mid = 0.5 * (a0 + b0)
-                length = float(np.linalg.norm(b0 - a0))
-                if depth < max_depth and length > ratio * np.linalg.norm(mid - x):
-                    stack.append((a0, mid, depth + 1))
-                    stack.append((mid, b0, depth + 1))
-                else:
-                    pts.append(mid)
-                    nrms.append(nrm)
-                    wts.append(length)
-        else:
-            t0, t1 = self.patches[i]
-            stack = [(float(t0), float(t1), 0)]
-            while stack:
-                lo, hi, depth = stack.pop()
-                tm = 0.5 * (lo + hi)
-                d = np.array([np.cos(tm), np.sin(tm)])
-                p = body.center + body.radius * d
-                size = body.radius * (hi - lo)
-                if depth < max_depth and size > ratio * np.linalg.norm(p - x):
-                    stack.append((lo, tm, depth + 1))
-                    stack.append((tm, hi, depth + 1))
-                else:
-                    pts.append(p)
-                    nrms.append(d)
-                    wts.append(size)
-        return np.array(pts), np.array(nrms), np.array(wts)
+                ctr /= _norms(ctr)[:, None]
+                pts = body.center + body.radius * ctr
+                diam = body.radius * diam
+            else:
+                pts = ctr
+            split = (depth < max_depth) & (diam > ratio * _norms(pts - x))
+            leaf = ~split
+            parts.append((keys[leaf] * 4 ** (max_depth - depth), cells[leaf], ctr[leaf], pts[leaf]))
+            if not split.any():
+                break
+            cells = split4(cells[split], sphere)
+            keys = (4 * keys[split, None] + [3, 2, 1, 0]).ravel()
+        path, c, ctr, pts = (np.concatenate(a) for a in zip(*parts))
+        order = np.argsort(path)
+        c, ctr, pts = c[order], ctr[order], pts[order]
+        if sphere:
+            return pts, ctr, body.radius**2 * spherical_triangle_areas(c[:, 0], c[:, 1], c[:, 2])
+        w = 0.5 * _norms(np.cross(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0]))
+        return pts, np.tile(self.normals[i], (len(c), 1)), w
 
 
 def _refine_segment(a, b, normal, parts):
@@ -820,45 +786,44 @@ def matching_radius(quad: SurfaceQuadrature, x: np.ndarray, target: float) -> fl
     return hi
 
 
+def circle_crossings(a: np.ndarray, d: np.ndarray, r: float):
+    """Parameters t0 <= t1 where the rows' lines a + t d meet the circle |p| = r.
+
+    A line that misses the circle gets its foot point from the origin twice.
+    """
+    dd, ad = np.vecdot(d, d), np.vecdot(a, d)
+    root = np.sqrt(np.maximum(ad**2 - dd * (np.vecdot(a, a) - r**2), 0.0))
+    return (-ad - root) / dd, (-ad + root) / dd
+
+
 def sphere_cap_measure(
     body: ConvexBody, x: np.ndarray, radius: float, resolution: int = 4096
 ) -> float:
     """Measure of the sphere around x of given radius inside the body.
 
-    Planar case: arcs of the circle inside the body, located by scanning and
-    bisecting the crossings (accurate to ~1e-12). Solid case: icosahedral
-    cells classified by their node, cells straddling the boundary refined.
+    Planar case, exact: a disk's arc follows from the law of cosines; a
+    polygon's edge crossings cut the circle into arcs wholly in or out,
+    classified by their midpoints. Solid case: icosahedral cells classified
+    by their node, cells straddling the boundary refined.
     """
     x = np.asarray(x, dtype=float)
     if radius <= 0:
         raise TargetOutOfRangeError("radius must be positive")
-    if body.n == 1:
-        m = max(int(resolution), 64)
-        theta = 2.0 * np.pi * np.arange(m) / m
-        pts = x + radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-        inside = body.contains(pts)
-        if inside.all():
-            return 2.0 * np.pi * radius
-        if not inside.any():
-            return 0.0
-        measure = 0.0
-        h = 2.0 * np.pi / m
-        for j in range(m):
-            k = (j + 1) % m
-            if inside[j] and inside[k]:
-                measure += h
-            elif inside[j] != inside[k]:
-                lo, hi = theta[j], theta[j] + h
-                for _ in range(60):
-                    mid = 0.5 * (lo + hi)
-                    p = x + radius * np.array([np.cos(mid), np.sin(mid)])
-                    if bool(body.contains(p)) == inside[j]:
-                        lo = mid
-                    else:
-                        hi = mid
-                cross = 0.5 * (lo + hi)
-                measure += (cross - theta[j]) if inside[j] else (theta[j] + h - cross)
-        return radius * measure
+    if isinstance(body, Ball) and body.dim == 2:
+        dist = float(np.linalg.norm(x - body.center))
+        top = body.radius**2 - dist**2 - radius**2
+        cos_edge = top / (2.0 * radius * dist) if dist > 0.0 else np.sign(body.radius - radius)
+        return float(radius * (2.0 * np.pi - 2.0 * np.arccos(np.clip(cos_edge, -1.0, 1.0))))
+    if isinstance(body, Polygon2D):
+        a, d = body.vertices - x, body.edges
+        t = np.stack(circle_crossings(a, d, radius))
+        p = (a + t[..., None] * d)[(t >= 0.0) & (t <= 1.0)]
+        # a cut at -pi as well, so a circle no edge crosses is one whole arc
+        cuts = np.sort(np.append(np.arctan2(p[:, 1], p[:, 0]), -np.pi))
+        arcs = np.diff(np.append(cuts, np.pi))
+        mids = cuts + 0.5 * arcs
+        inside = body.contains(x + radius * np.stack([np.cos(mids), np.sin(mids)], axis=1))
+        return float(radius * arcs[inside].sum())
 
     level = 0
     while 20 * 4**level < resolution:

@@ -69,10 +69,10 @@ def split4(tris: np.ndarray, sphere: bool = False) -> np.ndarray:
 def spherical_triangle_areas(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Solid angles of triangles with unit-vector corners a, b, c (batched).
 
-    Uses the half-angle tangent formula, numerically stable for the small
-    triangles produced by repeated subdivision.
+    Half-angle tangent formula; the triple product a.((b - a) x (c - a)) over
+    edge vectors keeps full relative accuracy on the tiniest subdivisions.
     """
-    num = np.abs(np.einsum("ij,ij->i", a, np.cross(b, c)))
+    num = np.abs(np.einsum("ij,ij->i", a, np.cross(b - a, c - a)))
     den = (
         1.0
         + np.einsum("ij,ij->i", a, b)

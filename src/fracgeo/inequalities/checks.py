@@ -58,19 +58,15 @@ def halpha_at_nodes(
     body: ConvexBody,
     quad: SurfaceQuadrature,
     alpha: float,
-    resolution: Optional[int] = None,
     cache: Optional[dict] = None,
 ) -> np.ndarray:
     """Chord-form curvature at every node, memoized per (quadrature, alpha)."""
-    key = (id(quad), float(alpha), resolution)
+    key = (id(quad), float(alpha))
     if cache is not None and key in cache:
         return cache[key][1]
     vals = np.array(
         [
-            halpha_chord(
-                body, quad.points[i], alpha, resolution=resolution,
-                normal=quad.normals[i],
-            ).value
+            halpha_chord(body, quad.points[i], alpha, normal=quad.normals[i]).value
             for i in range(quad.node_count)
         ]
     )
@@ -146,7 +142,6 @@ def check_pointwise_global(
     quad: SurfaceQuadrature,
     alpha: float,
     cache: Optional[dict] = None,
-    chord_resolution: Optional[int] = None,
 ) -> InequalityReport:
     """Strict lower curvature bound by the total surface measure, all nodes.
 
@@ -156,13 +151,13 @@ def check_pointwise_global(
     n = body.n
     constant = pointwise_constant(n, alpha)
     lhs = body.perimeter() ** (-alpha / n)
-    values = halpha_at_nodes(body, quad, alpha, resolution=chord_resolution, cache=cache)
+    values = halpha_at_nodes(body, quad, alpha, cache=cache)
     scaled = constant * values
     thin = np.flatnonzero(scaled - lhs < 0.02 * lhs)
-    res = 2 * (chord_resolution or DEFAULT_CHORD_DIRECTIONS[n])
     for i in thin:
         refined = halpha_chord(
-            body, quad.points[i], alpha, resolution=res, normal=quad.normals[i]
+            body, quad.points[i], alpha, resolution=2 * DEFAULT_CHORD_DIRECTIONS,
+            normal=quad.normals[i],
         ).value
         scaled[i] = constant * refined
     worst = int(np.argmin(scaled))

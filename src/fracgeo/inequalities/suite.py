@@ -108,7 +108,7 @@ def _run_curvature(ctx: _Context) -> list[InequalityReport]:
     out = []
 
     showcase = [
-        ("disk-512gon", corpus.disk_polygon(512), 1024, 1e-3),
+        ("disk-512gon", corpus.disk_polygon(512), 1024, 1e-9),
         ("icosahedron", icosahedron_body(), 1280, 2e-2),
         (ctx.name(1), ctx.body(1), prof["res"][1], 1e-2),
         (ctx.name(prof["n1"]), ctx.body(prof["n1"]), prof["res"][2], 5e-2),
@@ -169,8 +169,9 @@ def _run_localized(ctx: _Context) -> list[InequalityReport]:
         body, quad, name = ctx.body(i), ctx.quad(i), ctx.name(i)
         xi = int(rng.integers(quad.node_count))
         radius = float(rng.uniform(0.15, 0.75)) * body.diameter()
+        tol = 1e-9 if body.n == 1 else 0.02  # planar double layers and caps are exact
         out.append(
-            _tag(checks.check_localized_identity(body, quad, xi, radius), seed, name)
+            _tag(checks.check_localized_identity(body, quad, xi, radius, tol), seed, name)
         )
 
     # ball-split bound: measure every instance against constant 1, fit the

@@ -6,7 +6,7 @@ inward half-sphere of directions with a graded rule, and the boundary form
 sums the oriented kernel (y-x).nu(y)/|y-x|^(n+1+alpha) over surface nodes.
 The chord form is the reference; the boundary form cross-checks it and
 generalizes to restricted domains, where with exponent n+1 it becomes the
-solid-angle (double layer) sum.
+solid-angle (double layer) sum. On planar bodies all of these are exact.
 
 Perimeters of node subsets and Gagliardo energies of node fields share one
 interaction engine, so the indicator identity (energy of an indicator equals
@@ -16,31 +16,33 @@ twice the perimeter) holds at the arithmetic level, not just in the limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
+from scipy.special import beta, betainc
 
 from .geometry import (
     Ball,
     ConvexBody,
     GeometryError,
-    Hull3D,
     NodeSubset,
+    Params,
     Polygon2D,
     SurfaceQuadrature,
     boundary_distance,
+    circle_crossings,
     ray_exits,
     surface_normal,
 )
 from .icosphere import sphere_cells, split4
-from .quadrature import GradedHalfRule, graded_half_rule, graded_interval
+from .quadrature import graded_half_rule, graded_interval
 
-# directions used for chord-form curvature when no rule is supplied
-DEFAULT_CHORD_DIRECTIONS = {1: 720, 2: 4608}
+# directions used for chord-form curvature on surfaces when no rule is supplied
+DEFAULT_CHORD_DIRECTIONS = 4608
 # near-field node refinement: threshold in local spacings, and 4-split levels
 NEAR_FACTOR_CURVATURE = 3.0
 NEAR_FACTOR_PAIRS = 2.0
-NEAR_LEVELS = {1: 1, 2: 2}
+NEAR_LEVELS = 2
 # dyadic depth for the cell containing the evaluation point on curved bodies
 OWN_CELL_DEPTH = 42
 
@@ -115,13 +117,15 @@ def halpha_chord(
 ) -> CurvatureValue:
     """Curvature of order alpha by the chord form.
 
-    Sums w * chord^(-alpha) over a graded inward half-sphere rule anchored
-    at the outward normal. Directions whose ray leaves immediately (possible
-    only at non-smooth points) contribute nothing. Points within 1e-9 of a
-    facet boundary return an overflow-flagged infinity; supplying `normal`
-    bypasses the locality checks (the caller vouches for the point, as the
-    flow does for markers).
+    Planar bodies are exact (`_planar_halpha`). On surfaces, sums
+    w * chord^(-alpha) over a graded inward half-sphere rule of `resolution`
+    directions anchored at the outward normal; directions whose ray leaves
+    immediately (possible only at non-smooth points) contribute nothing.
+    Points within 1e-9 of a facet boundary return an overflow-flagged
+    infinity; supplying `normal` bypasses the locality checks (the caller
+    vouches for the point, as the flow does for markers).
     """
+    Params(body.n, alpha)  # rejects alpha outside (0, 1)
     x = np.asarray(x, dtype=float)
     if normal is None:
         _require_on_surface(body, x)
@@ -131,14 +135,52 @@ def halpha_chord(
     else:
         nu = np.asarray(normal, dtype=float)
         nu = nu / np.linalg.norm(nu)
-    res = resolution or DEFAULT_CHORD_DIRECTIONS[body.n]
-    rule = graded_half_rule(nu, alpha, res)
+    if body.n == 1:
+        return CurvatureValue(x, _planar_halpha(body, x, alpha), "chord", 0.0)
+    rule = graded_half_rule(nu, alpha, resolution or DEFAULT_CHORD_DIRECTIONS)
     rho = ray_exits(body, x, rule.directions)
     good = rho > 0.0
     contrib = np.zeros(rule.size)
     contrib[good] = rule.weights[good] * rho[good] ** (-alpha)
     value = float(contrib.sum())
     return CurvatureValue(x, value, "chord", _coarse_diff(rule.weights, contrib))
+
+
+def _planar_halpha(body: ConvexBody, x: np.ndarray, alpha: float) -> float:
+    """Chord (equally, boundary) form on a planar body, in closed form.
+
+    A disk gives (2R)^(-alpha) B((1 - alpha)/2, 1/2); a polygon sums the
+    shares of the edges x is not on (at a vertex, neither incident edge).
+    """
+    if isinstance(body, Ball):
+        return float((2.0 * body.radius) ** (-alpha) * beta(0.5 * (1.0 - alpha), 0.5))
+    far = body.facet_offsets - body.facet_normals @ x > _on_surface_tol(body)
+    ends = np.roll(body.vertices, -1, axis=0)
+    shares = _segment_shares(x, body.vertices[far], ends[far], body.facet_normals[far], alpha)
+    return float(shares.sum())
+
+
+def _segment_shares(x, a, b, normals, alpha):
+    """h^(-alpha) times the integral of cos^alpha(psi) over each segment a -> b.
+
+    h = <nu, y - x>, s = <tau, y - x> with tau = (-nu_y, nu_x), psi = atan2(s, h):
+    the chord along psi is h / cos(psi) and the boundary kernel is
+    h^(-alpha) cos^alpha(psi) dpsi, so this is either form's exact share. The
+    primitive is sign(s) B(1/2, k) I_S(1/2, k) / 2, k = (1 + alpha)/2,
+    S = s^2/(s^2 + h^2); steep one-sided segments difference the complements
+    I_{h^2/(s^2+h^2)}(k, 1/2) instead, so nothing cancels.
+    """
+    tau = np.stack([-normals[:, 1], normals[:, 0]], axis=1)
+    ends = np.stack([a - x, b - x])
+    s = np.vecdot(tau, ends)
+    # from the nearer end, so a small h keeps its relative accuracy
+    h = np.vecdot(normals, ends[np.argmin(np.abs(s), axis=0), np.arange(len(a))])
+    r2 = s * s + h * h
+    k = 0.5 * (1.0 + alpha)
+    steep = (s[0] * s[1] > 0.0) & (s[0] ** 2 + s[1] ** 2 > 2.0 * h * h)
+    complement = betainc(k, 0.5, h * h / r2)
+    prim = np.sign(s) * np.where(steep, -complement, betainc(0.5, k, s * s / r2))
+    return 0.5 * beta(0.5, k) * h ** (-alpha) * (prim[1] - prim[0])
 
 
 def clipped_chord_sum(
@@ -226,34 +268,18 @@ def _kernel_terms(x, pts, nrms, wts, exponent):
 
 
 def _own_cell_sum(quad: SurfaceQuadrature, idx: int, exponent: float) -> float:
-    """Contribution of the cell containing x on a curved body.
+    """Contribution of the cell containing x on a sphere.
 
-    Two points of a circle or sphere of radius R at chord distance d have
+    Two points of a sphere of radius R at chord distance d have
     dot(y - x, nu(y)) = d*d / (2R) exactly, so the integrand collapses to
-    d^(2-e) / (2R). The cell is split toward its own node dyadically (arc
-    halving on circles, medial-triangle recursion on spheres) and each
-    shell uses that closed form; forming the dot by coordinate subtraction
-    instead would drown in rounding noise at the deep shells and the
-    quotient by d^e would amplify it without bound.
+    d^(2-e) / (2R). The cell is split toward its own node by medial-triangle
+    recursion and each shell uses that closed form; forming the dot by
+    coordinate subtraction instead would drown in rounding noise at the deep
+    shells and the quotient by d^e would amplify it without bound.
     """
     body = quad.body
     radius = body.radius
     total = 0.0
-    if body.dim == 2:
-        t0, t1 = quad.patches[idx]
-        half = abs(t1 - t0) / 2.0
-        for j in range(OWN_CELL_DEPTH):
-            lo = half / 2.0 ** (j + 1)
-            hi = half / 2.0**j
-            # 8 midpoints per dyadic shell; one midpoint underestimates the
-            # convex singular integrand by a visible fraction of a percent
-            edges = lo + (hi - lo) * np.arange(9) / 8.0
-            mids = 0.5 * (edges[:-1] + edges[1:])
-            chords = 2.0 * radius * np.sin(0.5 * mids)
-            total += float(
-                (radius * np.diff(edges) * chords ** (2.0 - exponent)).sum()
-            )
-        return 2.0 * total / (2.0 * radius)
     x_unit = (quad.points[idx] - body.center) / radius
     units = (np.asarray(quad.patches[idx]) - body.center) / radius
     last = 0.0
@@ -284,10 +310,8 @@ def _boundary_sum(
     exponent: float,
     include: Optional[np.ndarray] = None,
     within: Optional[float] = None,
-    near_factor: float = NEAR_FACTOR_CURVATURE,
-    near_levels: Optional[int] = None,
 ) -> tuple[float, float]:
-    """Oriented kernel sum over nodes with near-field and own-cell handling.
+    """Oriented kernel sum over surface nodes with near-field and own-cell handling.
 
     Returns (value, refinement difference). `include` restricts to a node
     mask; `within` restricts to the ball of that radius around x, with
@@ -295,7 +319,6 @@ def _boundary_sum(
     """
     body = quad.body
     pt, idx = _resolve_node(quad, x)
-    levels = NEAR_LEVELS[body.n] if near_levels is None else near_levels
     active = np.ones(quad.node_count, dtype=bool)
     if include is not None:
         active &= np.asarray(include, dtype=bool)
@@ -315,7 +338,7 @@ def _boundary_sum(
         active = active & ~same
         straddle = straddle & ~same
     spacing_x = quad.spacings[idx] if idx is not None else float(np.median(quad.spacings))
-    near = active & (dist < near_factor * np.maximum(quad.spacings, spacing_x))
+    near = active & (dist < NEAR_FACTOR_CURVATURE * np.maximum(quad.spacings, spacing_x))
     plain = active & ~near & ~straddle
     near = near & ~straddle
 
@@ -335,16 +358,13 @@ def _boundary_sum(
         refined_near += float(_kernel_terms(pt, sp, sn, sw, exponent).sum())
     value += refined_near
     for j in np.nonzero(straddle)[0]:
-        sp, sn, sw = quad.refine_node(int(j), levels)
+        sp, sn, sw = quad.refine_node(int(j), NEAR_LEVELS)
         sd = np.linalg.norm(sp - pt, axis=1)
         keep = sd <= within
         value += float(_kernel_terms(pt, sp[keep], sn[keep], sw[keep], exponent).sum())
-    own = 0.0
-    if idx is not None and active_own and not body.is_polytope:
-        own_ok = within is None or 0.0 <= within  # own cell is at distance 0
-        if own_ok:
-            own = _own_cell_sum(quad, idx, exponent)
-    value += own
+    own_ok = within is None or 0.0 <= within  # own cell is at distance 0
+    if idx is not None and active_own and own_ok and not body.is_polytope:
+        value += _own_cell_sum(quad, idx, exponent)
     return value, abs(refined_near - unrefined_near)
 
 
@@ -353,15 +373,19 @@ def halpha_boundary(
 ) -> CurvatureValue:
     """Curvature of order alpha by the boundary form over a node set.
 
-    On polytopes the facet containing x contributes exactly zero and is
-    skipped; other near-field nodes are refined by facet subdivision. On
-    curved bodies the cell of x is resolved by the graded own-cell scheme.
+    Planar bodies are integrated exactly (`_planar_halpha`). On hulls the
+    facet containing x contributes exactly zero and is skipped; other
+    near-field nodes are refined by facet subdivision. On spheres the cell
+    of x is resolved by the graded own-cell scheme.
     """
+    Params(body.n, alpha)  # rejects alpha outside (0, 1)
     if quad.body is not body:
         raise GeometryError("quadrature was built for a different body")
     pt, idx = _resolve_node(quad, x)
     if body.is_polytope and boundary_distance(body, pt) < _on_surface_tol(body):
         return CurvatureValue(pt, np.inf, "boundary", np.nan, overflow=True)
+    if body.n == 1:
+        return CurvatureValue(pt, _planar_halpha(body, pt, alpha), "boundary", 0.0)
     value, est = _boundary_sum(quad, x, body.n + 1.0 + alpha)
     return CurvatureValue(pt, value, "boundary", est)
 
@@ -376,12 +400,14 @@ def double_layer(
 
     Unrestricted, this recovers half the sphere measure at every boundary
     point of every convex body; restricted to a node subset or a ball around
-    x it measures the region's angular content seen from x. On polygons the
-    sum is exact: each cell adds the angle it subtends from x.
+    x it measures the region's angular content seen from x. On planar bodies
+    the sum is exact: each cell adds the angle it subtends from x.
     """
     include = subset.mask if subset is not None else None
     if isinstance(quad.body, Polygon2D):
         return _polygon_angle(quad, x, include, within)
+    if quad.body.n == 1:
+        return _arc_angle(quad, x, include, within)
     value, _ = _boundary_sum(quad, x, quad.body.n + 1.0, include=include, within=within)
     return value
 
@@ -395,15 +421,28 @@ def _polygon_angle(quad, x, include, within):
     a = quad.patches[active, 0] - pt
     b = quad.patches[active, 1] - pt
     if within is not None:
-        # a + t (b - a) meets the circle where |d|^2 t^2 + 2 (a.d) t + |a|^2 = r^2
         d = b - a
-        dd, ad = np.vecdot(d, d), np.vecdot(a, d)
-        root = np.sqrt(np.maximum(ad**2 - dd * (np.vecdot(a, a) - within**2), 0.0))
-        t0 = np.clip((-ad - root) / dd, 0.0, 1.0)[:, None]
-        t1 = np.clip((-ad + root) / dd, 0.0, 1.0)[:, None]
+        t0, t1 = (np.clip(t, 0.0, 1.0)[:, None] for t in circle_crossings(a, d, within))
         a, b = a + t0 * d, a + t1 * d
     cross = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
     return float(np.arctan2(cross, np.vecdot(a, b)).sum())
+
+
+def _arc_angle(quad, x, include, within):
+    """Half the central angle of the active arc cells, x's own included.
+
+    That is the angle an arc subtends from a point of its circle. Clipped to
+    the disk, central angles u from x keep |u| <= 2 arcsin(r / 2R); the cell
+    that runs past the antipode is clipped again, shifted by 2 pi.
+    """
+    body = quad.body
+    rel = _resolve_node(quad, x)[0] - body.center
+    cells = quad.patches if include is None else quad.patches[np.asarray(include, dtype=bool)]
+    lo = (cells[:, 0] - np.arctan2(rel[1], rel[0]) + np.pi) % (2.0 * np.pi) - np.pi
+    hi = lo + (cells[:, 1] - cells[:, 0])
+    w = np.pi if within is None else 2.0 * np.arcsin(min(within / (2.0 * body.radius), 1.0))
+    width = sum(np.clip(hi - t, -w, w) - np.clip(lo - t, -w, w) for t in (0.0, 2.0 * np.pi))
+    return float(0.5 * width.sum())
 
 
 # ---------------------------------------------------------------------------

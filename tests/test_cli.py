@@ -77,6 +77,17 @@ def test_invalid_body_description_exits_2(tmp_path):
     assert main(["halpha", "--body", str(bad)]) == 2
 
 
+@pytest.mark.parametrize("form", ["chord", "boundary"])
+@pytest.mark.parametrize("body", ["square", "ball2d", "cube", "ball3d"])
+def test_alpha_outside_the_unit_interval_exits_2(body, form, capsys):
+    for alpha in ("0", "1", "1.5", "-0.2"):
+        argv = ["halpha", "--body", body, "--form", form, "--alpha", alpha, "--count", "2"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "error: alpha must lie in (0,1)" in captured.err
+        assert captured.out == ""
+
+
 def test_unknown_fixture_exits_2(capsys):
     assert main(["halpha", "--body", "nosuchbody"]) == 2
     err = capsys.readouterr().err

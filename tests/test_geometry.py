@@ -27,6 +27,7 @@ from fracgeo.geometry import (
     surface_quadrature,
 )
 from fracgeo.fixtures import load_fixture
+from fracgeo.inequalities import corpus
 from fracgeo.icosphere import icosahedron, sphere_mesh, spherical_triangle_areas, split4
 
 import oracles
@@ -286,6 +287,36 @@ def test_sphere_split_partitions_the_solid_angle():
         assert _bit_equal(kids[4 * k, 0], c[0]) and _bit_equal(kids[4 * k, 1], m01)
 
 
+# unit-vector corners of spherical triangles about 1e-3, 1e-5, 1e-6 and 1e-7
+# across, and their solid angles: mpmath at 50 digits, corners renormalized
+# exactly, computed offline (mpmath is not a dependency)
+TINY_TRIANGLES = (
+    ([[0.6184333453574478, -0.775573795903496, 0.12659180249067534],
+      [0.6176920038036817, -0.7762464717766896, 0.12608728520843657],
+      [0.6211634097117971, -0.7734499402233364, 0.12621889083545118]],
+     1.0668131210193403855e-6),
+    ([[-0.219736084992133, -0.5218502955796553, -0.8242501573889789],
+      [-0.2197229447362868, -0.5218579332526126, -0.824248824723291],
+      [-0.21971724320074557, -0.5218509095317337, -0.8242547914699475]],
+     8.2401867737017024783e-11),
+    ([[-0.09062828404019384, 0.26792249853132427, 0.95916841530185],
+      [-0.09062890739403115, 0.267922469629216, 0.9591683644764071],
+      [-0.09062746179366661, 0.2679229155642938, 0.9591683765035032]],
+     1.2312465814673843028e-13),
+    ([[-0.8960256696920277, 0.32357302502164176, -0.3040369989512747],
+      [-0.896025666415543, 0.3235729327490667, -0.30403710680893864],
+      [-0.8960256063762114, 0.3235731734246849, -0.3040370276101605]],
+     1.040753439937742903e-14),
+)
+
+
+def test_spherical_triangle_areas_keep_accuracy_on_tiny_triangles():
+    corners = np.array([c for c, _ in TINY_TRIANGLES])
+    want = np.array([area for _, area in TINY_TRIANGLES])
+    got = spherical_triangle_areas(corners[:, 0], corners[:, 1], corners[:, 2])
+    assert np.max(np.abs(got / want - 1.0)) <= 4e-15
+
+
 def _stack_refine_towards(quad, i, x, ratio=0.4, max_depth=16):
     """Reference: one cell at a time on a stack, last child popped first."""
     body = quad.body
@@ -497,7 +528,7 @@ def test_cap_measure_half_plane_limit():
     x = np.array([0.0, 0.0])
     for radius in (0.5, 1.0, 2.0):
         cap = sphere_cap_measure(big, x, radius)
-        assert cap == pytest.approx(np.pi * radius, rel=1e-3)
+        assert cap == pytest.approx(np.pi * radius, rel=1e-12)
 
 
 def test_cap_ratio_small_radius_limit():
@@ -519,8 +550,63 @@ def test_cap_measure_matches_circle_closed_form():
         # so the contained arc has angular width pi - 2 arcsin(r/2)
         width = np.pi - 2.0 * np.arcsin(radius / 2.0)
         assert sphere_cap_measure(disk, x, radius) == pytest.approx(
-            radius * width, rel=1e-3
+            radius * width, rel=1e-12
         )
+
+
+def _scan_cap_measure(body, x, radius, resolution=4096):
+    """Reference: the planar cap measure the package computed before its
+    closed form, a scan of the circle bisecting each in/out change."""
+    m = max(int(resolution), 64)
+    theta = 2.0 * np.pi * np.arange(m) / m
+    pts = x + radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    inside = body.contains(pts)
+    if inside.all():
+        return 2.0 * np.pi * radius
+    if not inside.any():
+        return 0.0
+    measure = 0.0
+    h = 2.0 * np.pi / m
+    for j in range(m):
+        k = (j + 1) % m
+        if inside[j] and inside[k]:
+            measure += h
+        elif inside[j] != inside[k]:
+            lo, hi = theta[j], theta[j] + h
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                p = x + radius * np.array([np.cos(mid), np.sin(mid)])
+                if bool(body.contains(p)) == inside[j]:
+                    lo = mid
+                else:
+                    hi = mid
+            cross = 0.5 * (lo + hi)
+            measure += (cross - theta[j]) if inside[j] else (theta[j] + h - cross)
+    return radius * measure
+
+
+def test_planar_cap_measure_matches_the_scan():
+    rng = np.random.default_rng(8)
+    bodies = [corpus.random_ellipse_polygon(rng) for _ in range(3)]
+    bodies += [unit_disk(), Ball(2, np.array([0.5, -0.3]), 1.3)]
+    cases = 0
+    for body in bodies:
+        if isinstance(body, Polygon2D):
+            lo, hi = body.vertices.min(axis=0), body.vertices.max(axis=0)
+        else:
+            lo, hi = body.center - body.radius, body.center + body.radius
+        for _ in range(16):
+            # inside, on and around the body; radii out past its diameter
+            x = rng.uniform(lo - 0.3, hi + 0.3)
+            radius = float(np.exp(rng.uniform(np.log(0.01), np.log(3.0))))
+            want = _scan_cap_measure(body, x, radius)
+            got = sphere_cap_measure(body, x, radius)
+            assert abs(got - want) <= 1e-12 * 2.0 * np.pi * radius
+            cases += 0.0 < want < 2.0 * np.pi * radius
+        x = body.vertices[0] if isinstance(body, Polygon2D) else body.center + [body.radius, 0.0]
+        big = 1.5 * body.diameter()
+        assert sphere_cap_measure(body, x, big) == _scan_cap_measure(body, x, big) == 0.0
+    assert cases >= 20  # a good share of the circles cross the boundary
 
 
 def test_patch_measure_saturates_at_diameter():

@@ -7,6 +7,7 @@ from fracgeo.geometry import (
     Ball,
     GeometryError,
     NodeSubset,
+    ParamError,
     make_body,
     sphere_cap_measure,
     surface_quadrature,
@@ -44,15 +45,86 @@ def unit_square():
 # chord form against closed forms
 
 
+# the alpha grid of the planar closed-form checks, out to both ends of (0, 1)
+EDGE_ALPHAS = (0.001, 0.1, 0.5, 0.9, 0.97, 0.999)
+
+
 def test_disk_chord_closed_form():
     disk = unit_disk()
     x = np.array([1.0, 0.0])
     for alpha in (0.25, 0.5, 0.75):
         got = halpha_chord(disk, x, alpha)
-        assert got.value == pytest.approx(oracles.disk_halpha(alpha), rel=5e-3)
+        assert got.value == pytest.approx(oracles.disk_halpha(alpha), rel=1e-12)
         assert not got.overflow
-        # the coarse-versus-fine estimate is a conservative band, not the error
-        assert 0.0 <= got.estimated_error < 0.05 * got.value
+        assert got.estimated_error == 0.0
+
+
+@pytest.mark.parametrize("radius", [1.0, 1.3])
+def test_disk_forms_match_closed_form_across_alpha(radius):
+    disk = Ball(2, np.array([0.3, -0.2]), radius)
+    quad = surface_quadrature(disk, 96)
+    for alpha in EDGE_ALPHAS:
+        want = oracles.disk_halpha(alpha, radius)
+        for i in (0, 17, 50):
+            chord = halpha_chord(disk, quad.points[i], alpha)
+            bnd = halpha_boundary(disk, quad, i, alpha)
+            assert chord.value == pytest.approx(want, rel=1e-12)
+            assert bnd.value == pytest.approx(want, rel=1e-12)
+            assert chord.estimated_error == 0.0 and bnd.estimated_error == 0.0
+
+
+# 40-digit mpmath values of the sum over edges of h^-alpha times the
+# integral of cos^alpha over the angles each edge subtends from x, with the
+# edges through x left out; computed offline (mpmath is not a dependency)
+SQUARE_MIDPOINT_REFS = (
+    (0.001, 3.1425673868284368266),
+    (0.1, 3.2419801275415888984),
+    (0.5, 3.7087074759546626174),
+    (0.9, 4.3007208327581026703),
+    (0.97, 4.4196320426275263273),
+    (0.999, 4.4703706171505979816),
+)
+# thinrect at (1, 0.0125), on its short right edge
+THINRECT_REFS = (
+    (0.25, 7.1149897791409490634),
+    (0.5, 16.920325026548715463),
+    (0.9, 73.116529818978583968),
+)
+# regular 11-gon of radius 0.8, 1e-6 along edge 3 from vertex 3
+ELEVEN_GON_REFS = (
+    (0.25, 17.098170522838569375),
+    (0.5, 389.36273937489182075),
+    (0.9, 77473.448810031241146),
+)
+
+
+def test_polygon_chord_matches_mpmath_references():
+    for alpha, want in SQUARE_MIDPOINT_REFS:
+        got = halpha_chord(unit_square(), np.array([0.5, 0.0]), alpha)
+        assert got.value == pytest.approx(want, rel=1e-12)
+        assert got.estimated_error == 0.0
+    thin = load_fixture("thinrect")
+    for alpha, want in THINRECT_REFS:
+        got = halpha_chord(thin, np.array([1.0, 0.0125]), alpha).value
+        assert got == pytest.approx(want, rel=1e-12)
+    gon = corpus.regular_polygon(11, 0.8)
+    v = gon.vertices
+    x = v[3] + 1e-6 * (v[4] - v[3]) / np.linalg.norm(v[4] - v[3])
+    for alpha, want in ELEVEN_GON_REFS:
+        assert halpha_chord(gon, x, alpha).value == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["square", "ball2d", "cube", "ball3d"])
+def test_curvature_forms_reject_alpha_outside_the_unit_interval(name):
+    body = load_fixture(name)
+    quad = surface_quadrature(body, 80)
+    for alpha in (0.0, 1.0, 1.5, -0.2):
+        with pytest.raises(ParamError):
+            halpha_chord(body, quad.points[0], alpha)
+        with pytest.raises(ParamError):
+            halpha_chord(body, quad.points[0], alpha, normal=quad.normals[0])
+        with pytest.raises(ParamError):
+            halpha_boundary(body, quad, 0, alpha)
 
 
 def test_sphere_chord_closed_form():
@@ -151,6 +223,21 @@ def test_boundary_matches_chord_on_ball3d():
     chord = halpha_chord(ball, quad.points[17], 0.5, normal=quad.normals[17]).value
     bnd = halpha_boundary(ball, quad, 17, 0.5)
     assert bnd.value == pytest.approx(chord, rel=0.01)
+
+
+@pytest.mark.parametrize("name", ["square", "thinrect", "ellipse"])
+def test_boundary_equals_chord_on_polygons(name):
+    # edge by edge the two forms are one integral, so they agree at every node
+    if name == "ellipse":
+        body = corpus.random_ellipse_polygon(np.random.default_rng(12))
+    else:
+        body = load_fixture(name)
+    quad = surface_quadrature(body, 96)
+    for alpha in (0.25, 0.5, 0.9):
+        for i in range(quad.node_count):
+            chord = halpha_chord(body, quad.points[i], alpha).value
+            bnd = halpha_boundary(body, quad, i, alpha).value
+            assert bnd == pytest.approx(chord, rel=1e-13)
 
 
 def test_boundary_of_foreign_quadrature_rejected():
@@ -301,15 +388,19 @@ def test_polygon_double_layer_is_exact_across_seeds():
     assert worst <= 1e-11
 
 
-@pytest.mark.parametrize("body", [unit_square(), corpus.regular_polygon(11, 0.8)])
+@pytest.mark.parametrize(
+    "body",
+    [unit_square(), corpus.regular_polygon(11, 0.8), unit_disk(),
+     Ball(2, np.array([0.4, -0.7]), 1.3)],
+)
 def test_polygon_angle_within_radius_plus_cap_is_half_circle(body):
     quad = surface_quadrature(body, 64)
     for i in (0, 5, 17, 40):
         x = quad.points[i]
-        for radius in (0.05, 0.3, 0.7, 1.2, 2.5):
+        for radius in (1e-4, 0.05, 0.3, 0.7, 1.2, 2.5, 3.0):
             near = double_layer(quad, i, within=radius)
             cap = sphere_cap_measure(body, x, radius) / radius
-            assert near + cap == pytest.approx(np.pi, abs=1e-9)
+            assert near + cap == pytest.approx(np.pi, abs=1e-11)
 
 
 def test_double_layer_monotone_in_region():
