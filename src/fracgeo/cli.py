@@ -31,7 +31,6 @@ from .inequalities import SUITE_SECTIONS, run_suite
 from .inequalities.corpus import field_values
 from .inequalities.suite import PROFILES
 from .nonlocal_ops import (
-    DEFAULT_CHORD_DIRECTIONS,
     ScalarField,
     gagliardo,
     halpha_boundary,
@@ -84,10 +83,7 @@ def _cmd_halpha(args, emit: _Emitter) -> int:
         if args.form == "boundary":
             value = halpha_boundary(body, quad, x, args.alpha).value
         else:
-            value = halpha_chord(
-                body, x, args.alpha, resolution=args.resolution,
-                normal=quad.normals[i],
-            ).value
+            value = halpha_chord(body, x, args.alpha, normal=quad.normals[i]).value
         values.append(value)
         emit.emit({
             "command": "halpha",
@@ -210,9 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"fixture name ({', '.join(FIXTURE_NAMES)}) or JSON path")
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--form", choices=("chord", "boundary"), default="chord")
-    p.add_argument("--resolution", type=int, default=None,
-                   help="direction count for the chord form on surfaces "
-                   f"(default {DEFAULT_CHORD_DIRECTIONS}); planar bodies are exact")
     p.add_argument("--surface-resolution", type=int, default=64)
     p.add_argument("--count", type=int, default=8, help="nodes to evaluate")
     p.set_defaults(func=_cmd_halpha)

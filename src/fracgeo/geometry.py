@@ -105,8 +105,8 @@ def _frozen(a) -> np.ndarray:
 def _store(body, **arrays):
     """Set a body's derived arrays, computed once at construction, read-only.
 
-    The properties that read them (facet normals and offsets, edges, face
-    corners and areas) return these shared arrays.
+    The properties that read them (facet normals and offsets, edges and
+    their frames, face corners and areas) return these shared arrays.
     """
     for name, a in arrays.items():
         a.setflags(write=False)
@@ -189,13 +189,32 @@ class Hull3D:
         c = v[self.faces]
         cr = np.cross(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0])
         nrm = cr / np.linalg.norm(cr, axis=1, keepdims=True)
+        e = np.roll(c, -1, axis=1) - c
+        lengths = np.linalg.norm(e, axis=2)
+        tangents = e / lengths[..., None]
         _store(self, vertices=v, faces=np.array(self.faces, order="C"), _corners=c,
                _normals=nrm, _areas=0.5 * np.linalg.norm(cr, axis=1),
-               _offsets=np.einsum("ij,ij->i", nrm, c[:, 0]))
+               _offsets=np.einsum("ij,ij->i", nrm, c[:, 0]), _edge_lengths=lengths,
+               _tangents=tangents, _inward=np.cross(nrm[:, None], tangents))
 
     @property
     def face_corners(self) -> np.ndarray:
         return self._corners
+
+    @property
+    def edge_lengths(self) -> np.ndarray:
+        """(faces, 3) lengths of the edges corner k -> corner k+1 of each face."""
+        return self._edge_lengths
+
+    @property
+    def edge_tangents(self) -> np.ndarray:
+        """(faces, 3, 3) unit tangents of those edges."""
+        return self._tangents
+
+    @property
+    def edge_normals(self) -> np.ndarray:
+        """(faces, 3, 3) unit normals of those edges in the face plane, into the face."""
+        return self._inward
 
     @property
     def facet_normals(self) -> np.ndarray:

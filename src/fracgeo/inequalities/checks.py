@@ -26,8 +26,8 @@ from ..geometry import (
     projection_measure,
 )
 from ..nonlocal_ops import (
-    DEFAULT_CHORD_DIRECTIONS,
     ScalarField,
+    _chord_values,
     double_layer,
     frac_perimeter,
     gagliardo,
@@ -60,16 +60,14 @@ def halpha_at_nodes(
     alpha: float,
     cache: Optional[dict] = None,
 ) -> np.ndarray:
-    """Chord-form curvature at every node, memoized per (quadrature, alpha)."""
+    """Chord-form curvature at every node, in one batched pass.
+
+    Memoized per (quadrature, alpha).
+    """
     key = (id(quad), float(alpha))
     if cache is not None and key in cache:
         return cache[key][1]
-    vals = np.array(
-        [
-            halpha_chord(body, quad.points[i], alpha, normal=quad.normals[i]).value
-            for i in range(quad.node_count)
-        ]
-    )
+    vals = _chord_values(body, quad.points, alpha)[0]
     if cache is not None:
         # the quad rides along so its id cannot be recycled under this key
         # while the entry is alive
@@ -143,23 +141,12 @@ def check_pointwise_global(
     alpha: float,
     cache: Optional[dict] = None,
 ) -> InequalityReport:
-    """Strict lower curvature bound by the total surface measure, all nodes.
-
-    Nodes whose margin falls inside the quadrature's own error band are
-    re-evaluated at doubled direction count before judging.
-    """
+    """Strict lower curvature bound by the total surface measure, all nodes."""
     n = body.n
     constant = pointwise_constant(n, alpha)
     lhs = body.perimeter() ** (-alpha / n)
     values = halpha_at_nodes(body, quad, alpha, cache=cache)
     scaled = constant * values
-    thin = np.flatnonzero(scaled - lhs < 0.02 * lhs)
-    for i in thin:
-        refined = halpha_chord(
-            body, quad.points[i], alpha, resolution=2 * DEFAULT_CHORD_DIRECTIONS,
-            normal=quad.normals[i],
-        ).value
-        scaled[i] = constant * refined
     worst = int(np.argmin(scaled))
     rhs = float(scaled.min())
     return bound_report(

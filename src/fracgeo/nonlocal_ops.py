@@ -2,8 +2,9 @@
 
 The curvature of order alpha at a boundary point has two independent
 evaluations: the chord form integrates (chord length)^(-alpha) over the
-inward half-sphere of directions with a graded rule, and the boundary form
-sums the oriented kernel (y-x).nu(y)/|y-x|^(n+1+alpha) over surface nodes.
+inward half-sphere of directions, exactly on every body (in closed form on
+balls, edge by edge on polygons, facet by facet on hulls), and the boundary
+form sums the oriented kernel (y-x).nu(y)/|y-x|^(n+1+alpha) over surface nodes.
 The chord form is the reference; the boundary form cross-checks it and
 generalizes to restricted domains, where with exponent n+1 it becomes the
 solid-angle (double layer) sum. On planar bodies all of these are exact.
@@ -25,6 +26,7 @@ from .geometry import (
     Ball,
     ConvexBody,
     GeometryError,
+    Hull3D,
     NodeSubset,
     Params,
     Polygon2D,
@@ -32,13 +34,15 @@ from .geometry import (
     boundary_distance,
     circle_crossings,
     ray_exits,
-    surface_normal,
 )
 from .icosphere import sphere_cells, split4
 from .quadrature import graded_half_rule, graded_interval
 
-# directions used for chord-form curvature on surfaces when no rule is supplied
-DEFAULT_CHORD_DIRECTIONS = 4608
+# hull chord kernel: Gauss-Legendre rule per panel, longest panel (in u),
+# and (points x facets) per batch
+EDGE_NODES, EDGE_WEIGHTS = np.polynomial.legendre.leggauss(12)
+EDGE_PANEL = 1.0
+NODE_BATCH = 2048
 # near-field node refinement: threshold in local spacings, and 4-split levels
 NEAR_FACTOR_CURVATURE = 3.0
 NEAR_FACTOR_PAIRS = 2.0
@@ -79,19 +83,6 @@ class CurvatureValue:
     overflow: bool = False
 
 
-def _coarse_diff(weights: np.ndarray, contribs: np.ndarray) -> float:
-    """Difference against a coarser Riemann sum built by merging cell pairs."""
-    fine = float(contribs.sum())
-    m = (len(weights) // 2) * 2
-    if m == 0:
-        return 0.0
-    w = weights[:m].reshape(-1, 2)
-    f = contribs[:m] / np.where(weights[:m] == 0.0, 1.0, weights[:m])
-    coarse = float(np.sum(w.sum(axis=1) * f.reshape(-1, 2)[:, 0]))
-    coarse += float(contribs[m:].sum())
-    return abs(fine - coarse)
-
-
 def _on_surface_tol(body: ConvexBody) -> float:
     return 1e-9 * body.diameter()
 
@@ -112,18 +103,15 @@ def halpha_chord(
     body: ConvexBody,
     x: np.ndarray,
     alpha: float,
-    resolution: Optional[int] = None,
     normal: Optional[np.ndarray] = None,
 ) -> CurvatureValue:
     """Curvature of order alpha by the chord form.
 
-    Planar bodies are exact (`_planar_halpha`). On surfaces, sums
-    w * chord^(-alpha) over a graded inward half-sphere rule of `resolution`
-    directions anchored at the outward normal; directions whose ray leaves
-    immediately (possible only at non-smooth points) contribute nothing.
-    Points within 1e-9 of a facet boundary return an overflow-flagged
-    infinity; supplying `normal` bypasses the locality checks (the caller
-    vouches for the point, as the flow does for markers).
+    Every body is integrated exactly: balls in closed form, polygons edge by
+    edge (`_planar_halpha`), hulls facet by facet (`_hull_halpha`). Points
+    within 1e-9 of a facet boundary return an overflow-flagged infinity;
+    supplying `normal` bypasses the locality checks (the caller vouches for
+    the point, as the flow does for markers).
     """
     Params(body.n, alpha)  # rejects alpha outside (0, 1)
     x = np.asarray(x, dtype=float)
@@ -131,19 +119,82 @@ def halpha_chord(
         _require_on_surface(body, x)
         if body.is_polytope and boundary_distance(body, x) < _on_surface_tol(body):
             return CurvatureValue(x, np.inf, "chord", np.nan, overflow=True)
-        nu = surface_normal(body, x)
+    values, errors = _chord_values(body, x[None], alpha)
+    return CurvatureValue(x, float(values[0]), "chord", float(errors[0]))
+
+
+def _chord_values(body: ConvexBody, points: np.ndarray, alpha: float):
+    """Chord form and its error estimate at many boundary points."""
+    if isinstance(body, Hull3D):
+        return _hull_halpha(body, points, alpha)
+    if isinstance(body, Ball) and body.n == 2:
+        value = 2.0 * np.pi * (2.0 * body.radius) ** (-alpha) / (1.0 - alpha)
+        values = np.full(len(points), value)
     else:
-        nu = np.asarray(normal, dtype=float)
-        nu = nu / np.linalg.norm(nu)
-    if body.n == 1:
-        return CurvatureValue(x, _planar_halpha(body, x, alpha), "chord", 0.0)
-    rule = graded_half_rule(nu, alpha, resolution or DEFAULT_CHORD_DIRECTIONS)
-    rho = ray_exits(body, x, rule.directions)
-    good = rho > 0.0
-    contrib = np.zeros(rule.size)
-    contrib[good] = rule.weights[good] * rho[good] ** (-alpha)
-    value = float(contrib.sum())
-    return CurvatureValue(x, value, "chord", _coarse_diff(rule.weights, contrib))
+        values = np.array([_planar_halpha(body, x, alpha) for x in points])
+    return values, np.zeros(len(points))
+
+
+def _hull_halpha(body: Hull3D, points: np.ndarray, alpha: float):
+    """Chord form on a hull, exactly: sum over facets j of h_j int |y - x|^-(3+alpha) dA.
+
+    This is the chord integral with each direction moved to the point y
+    where its ray leaves the body (`docs/chord_formula.md`). h_j is x's
+    height under facet j's plane; facets with h_j <= tol (coplanar with x)
+    take no direction. In polar coordinates about x's foot point p on the
+    plane the radial integral is G(R) = h^-alpha (1 - (1 + R^2/h^2)^-k) /
+    (1 + alpha), k = (1 + alpha)/2, and each edge at signed in-plane
+    distance d from p (positive on the face's side) adds
+    sign(d) * int G(|d| cosh u) du / cosh u over u = asinh(t/|d|), t the
+    position along the edge. When p lies outside the face the edges' angles
+    cancel, so G - G(inf) is integrated instead and nothing large cancels.
+    The integrand is analytic within pi/2 of the real u axis, with its
+    singularities above u = 0 and u = +-asinh(h/|d|): panels break there
+    and are at most EDGE_PANEL long. Returns the values and 64 eps times
+    the summed magnitudes of the edge terms, which bounds their rounding;
+    the quadrature error stays below it.
+    """
+    normals, offsets = body.facet_normals, body.facet_offsets
+    # edge k of face f runs from corner k to corner k + 1; flattened to 3f + k
+    starts = body.face_corners.reshape(-1, 3)
+    inward = body.edge_normals.reshape(-1, 3)
+    tangents = body.edge_tangents.reshape(-1, 3)
+    lengths = body.edge_lengths.reshape(-1)
+    tol, k = _on_surface_tol(body), 0.5 * (1.0 + alpha)
+    values, errors = np.zeros(len(points)), np.zeros(len(points))
+    step = max(1, NODE_BATCH // len(offsets))
+    for first in range(0, len(points), step):
+        x = points[first:first + step]
+        h = offsets - x @ normals.T
+        node, edge = np.nonzero(np.repeat(h > tol, 3, axis=1))
+        rel = x[node] - starts[edge]
+        d, t = np.vecdot(inward[edge], rel), -np.vecdot(tangents[edge], rel)
+        # p on the edge's line spans no area
+        live = np.abs(d) > 1e-200 * lengths[edge]
+        # p outside the face: its edges' angles cancel, so integrate G - G(inf)
+        outside = np.repeat(((d < 0.0) & live).reshape(-1, 3).any(axis=1), 3)
+        node, edge, d, t = node[live], edge[live], d[live], t[live]
+        outside = outside[live]
+        h, ad = h[node, edge // 3], np.abs(d)
+        ua, ub = np.arcsinh(t / ad), np.arcsinh((t + lengths[edge]) / ad)
+        c = np.arcsinh(h / ad)
+        cuts = np.stack([ua, *(np.clip(v, ua, ub) for v in (-c, 0.0, c)), ub], axis=1)
+        widths = np.diff(cuts, axis=1).ravel()
+        parts = np.ceil(widths / EDGE_PANEL).astype(int)
+        panel = np.repeat(np.arange(len(widths)), parts)
+        sub = np.arange(len(panel)) - np.repeat(np.cumsum(parts) - parts, parts)
+        half = 0.5 * (widths / np.maximum(parts, 1))[panel]
+        mid = cuts[:, :-1].ravel()[panel] + (2 * sub + 1) * half
+        cu = np.cosh(mid[:, None] + half[:, None] * EDGE_NODES)
+        power = -k * np.log1p(((ad / h)[panel // 4][:, None] * cu) ** 2)
+        # (1 + R^2/h^2)^-k, less 1 where the face holds p
+        f = np.exp(power)
+        np.expm1(power, out=f, where=~outside[panel // 4][:, None])
+        terms = np.bincount(panel // 4, -half * ((f / cu) @ EDGE_WEIGHTS), len(d))
+        terms *= np.sign(d) * h ** (-alpha) / (1.0 + alpha)
+        values[first:first + step] = np.bincount(node, terms, len(x))
+        errors[first:first + step] = np.bincount(node, np.abs(terms), len(x))
+    return values, 64.0 * np.finfo(float).eps * errors
 
 
 def _planar_halpha(body: ConvexBody, x: np.ndarray, alpha: float) -> float:

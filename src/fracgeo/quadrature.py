@@ -1,18 +1,17 @@
 """Direction rules on spheres and graded rules for singular chord integrands.
 
 Two families: plain rules covering the whole unit sphere (uniform angles on
-the circle, subdivided icosahedra on the 2-sphere) and half-sphere rules
-graded toward the tangent directions, where chord integrands behave like
-theta^(-alpha). Grading follows the substitution theta = (pi/2) u^(1/(1-alpha));
-cell weights are the exact widths of the mapped cells, so every rule
-integrates constants to its domain measure at rounding accuracy.
+the circle, subdivided icosahedra on the 2-sphere) and half-circle rules for
+the planar flow, graded toward the tangent directions, where chord integrands
+behave like theta^(-alpha). Grading follows the substitution
+theta = (pi/2) u^(1/(1-alpha)); cell weights are the exact widths of the
+mapped cells, so every rule integrates constants to its domain measure at
+rounding accuracy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -35,12 +34,11 @@ class SphericalRule:
 
 @dataclass(frozen=True)
 class GradedHalfRule:
-    """Half-sphere rule oriented by an outward normal, graded for chords.
+    """Half-circle rule oriented by an outward normal, graded for chords.
 
     Directions satisfy <omega, nu> < 0. `thetas` is the angle from the
-    tangent plane; `cells` holds each node's theta interval so callers can
+    tangent line; `cells` holds each node's theta interval so callers can
     clip cells against a restricted entry cone (used at polygon corners).
-    For n=2 the azimuthal cell width is carried inside the weight.
     """
 
     n: int
@@ -102,7 +100,18 @@ def graded_interval(alpha: float, count: int, upper: float):
     return nodes, widths
 
 
-def _half_rule_n1(nu: np.ndarray, alpha: float, resolution: int) -> GradedHalfRule:
+def graded_half_rule(nu: np.ndarray, alpha: float, resolution: int) -> GradedHalfRule:
+    """Graded rule on the inward half-circle {<omega, nu> < 0} of a planar normal.
+
+    Surfaces need no direction rule: their chord form is integrated exactly
+    (`nonlocal_ops.halpha_chord`).
+    """
+    nu = np.asarray(nu, dtype=float)
+    nu = nu / np.linalg.norm(nu)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0,1)")
+    if nu.shape != (2,):
+        raise ValueError("normal must be a 2-vector")
     m_half = max(resolution // 2, 8)
     nodes, widths = graded_interval(alpha, m_half, np.pi / 2.0)
     edges = np.concatenate([[0.0], np.cumsum(widths)])
@@ -113,78 +122,4 @@ def _half_rule_n1(nu: np.ndarray, alpha: float, resolution: int) -> GradedHalfRu
     weights = hi - lo
     tangent = np.array([-nu[1], nu[0]])
     dirs = np.outer(np.cos(thetas), tangent) - np.outer(np.sin(thetas), nu)
-    return GradedHalfRule(
-        1, alpha, np.asarray(nu, dtype=float), dirs, weights, thetas,
-        np.stack([lo, hi], axis=1),
-    )
-
-
-@lru_cache(maxsize=32)
-def _canonical_half_rule_n2(alpha: float, resolution: int):
-    """Cached canonical frame rule with inward pole +e_z (nu = -e_z)."""
-    m_theta = max(int(round(np.sqrt(resolution / 2.0))), 6)
-    m_phi = 2 * m_theta
-    power = 1.0 / (1.0 - alpha)
-    u_edges = (np.arange(m_theta + 1) / m_theta) ** power
-    theta_edges = (np.pi / 2.0) * u_edges
-    band_weights = np.diff(np.sin(theta_edges))  # exact integral of cos(theta)
-    # nodes chosen so weight * sin(node)^(-alpha) matches the exact band
-    # integral of sin^(-alpha) * cos: the rule then resolves the equator
-    # singularity of chord integrands without an alpha-dependent bias
-    sin_moments = np.diff(np.sin(theta_edges) ** (1.0 - alpha)) / (1.0 - alpha)
-    theta_nodes = np.arcsin((band_weights / sin_moments) ** (1.0 / alpha))
-    phi = 2.0 * np.pi * (np.arange(m_phi) + 0.5) / m_phi
-    dphi = 2.0 * np.pi / m_phi
-    ct, st = np.cos(theta_nodes), np.sin(theta_nodes)
-    dirs = np.stack(
-        [
-            np.outer(ct, np.cos(phi)),
-            np.outer(ct, np.sin(phi)),
-            np.outer(st, np.ones(m_phi)),
-        ],
-        axis=2,
-    ).reshape(-1, 3)
-    weights = np.repeat(band_weights * dphi, m_phi)
-    thetas = np.repeat(theta_nodes, m_phi)
-    cells = np.stack(
-        [np.repeat(theta_edges[:-1], m_phi), np.repeat(theta_edges[1:], m_phi)], axis=1
-    )
-    return dirs, weights, thetas, cells
-
-
-def rotation_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Shortest-arc rotation matrix taking unit vector a to unit vector b."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = float(a @ b)
-    if c > 1.0 - 1e-14:
-        return np.eye(3)
-    if c < -1.0 + 1e-14:
-        # antipodal: half-turn about any axis orthogonal to a
-        axis = np.cross(a, [1.0, 0.0, 0.0])
-        if np.linalg.norm(axis) < 1e-12:
-            axis = np.cross(a, [0.0, 1.0, 0.0])
-        axis /= np.linalg.norm(axis)
-        return 2.0 * np.outer(axis, axis) - np.eye(3)
-    v = np.cross(a, b)
-    k = np.array(
-        [[0, -v[2], v[1]], [v[2], 0, -v[0]], [-v[1], v[0], 0]], dtype=float
-    )
-    return np.eye(3) + k + k @ k / (1.0 + c)
-
-
-def graded_half_rule(nu: np.ndarray, alpha: float, resolution: int) -> GradedHalfRule:
-    """Graded rule on the inward half-sphere {<omega, nu> < 0}."""
-    nu = np.asarray(nu, dtype=float)
-    nu = nu / np.linalg.norm(nu)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0,1)")
-    if nu.shape == (2,):
-        return _half_rule_n1(nu, alpha, resolution)
-    if nu.shape == (3,):
-        dirs, weights, thetas, cells = _canonical_half_rule_n2(float(alpha), int(resolution))
-        rot = rotation_between(np.array([0.0, 0.0, -1.0]), nu)
-        return GradedHalfRule(
-            2, alpha, nu, dirs @ rot.T, weights.copy(), thetas.copy(), cells.copy()
-        )
-    raise ValueError("normal must be a 2- or 3-vector")
+    return GradedHalfRule(1, alpha, nu, dirs, weights, thetas, np.stack([lo, hi], axis=1))

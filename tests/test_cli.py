@@ -106,6 +106,13 @@ def test_bad_choices_rejected_by_parser():
     assert exc.value.code == 2
 
 
+def test_halpha_takes_no_direction_count():
+    # the chord form is exact on every body, so there is no rule to size
+    with pytest.raises(SystemExit) as exc:
+        main(["halpha", "--body", "cube", "--resolution", "10"])
+    assert exc.value.code == 2
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

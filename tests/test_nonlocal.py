@@ -6,6 +6,7 @@ import pytest
 from fracgeo.geometry import (
     Ball,
     GeometryError,
+    Hull3D,
     NodeSubset,
     ParamError,
     make_body,
@@ -133,6 +134,99 @@ def test_sphere_chord_closed_form():
     for alpha in (0.25, 0.5, 0.75):
         got = halpha_chord(ball, x, alpha)
         assert got.value == pytest.approx(oracles.sphere_halpha(alpha), rel=1e-6)
+
+
+@pytest.mark.parametrize("radius", [1.0, 1.3])
+def test_ball_chord_closed_form_at_rotated_points(radius):
+    # a generic normal needs no frame rotation: near-tangent directions,
+    # where the chord of a sphere vanishes, must keep their weight
+    center = np.array([0.2, -0.4, 0.1])
+    ball = Ball(3, center, radius)
+    rng = np.random.default_rng(41)
+    for _ in range(5):
+        u = rng.normal(size=3)
+        x = center + radius * u / np.linalg.norm(u)
+        for alpha in EDGE_ALPHAS:
+            got = halpha_chord(ball, x, alpha)
+            want = oracles.sphere_halpha(alpha, radius)
+            assert got.value == pytest.approx(want, rel=1e-12)
+            assert got.estimated_error == 0.0
+
+
+# 30-digit mpmath values of the sum over facets of h_j times the integral of
+# |y - x|^-(3 + alpha) over facet j (2D tanh-sinh quadrature on each facet,
+# the facets coplanar with x left out); computed offline, since mpmath is
+# not a dependency. CUBE_POINT is on the face y = 0, ICOSA_POINT is
+# 0.21 a + 0.33 b + 0.46 c for the corners a, b, c of face 0.
+CUBE_POINT = np.array([0.3, 0.0, 0.55])
+CUBE_REFS = (
+    (0.001, 6.2858416886572920822738611791),
+    (0.1, 6.55896864203911913236110199927),
+    (0.5, 7.89891607397677236747539123375),
+    (0.9, 9.73211887870562016595267429002),
+    (0.97, 10.1179276345386177436960026718),
+    (0.999, 10.2843145807600438564193431345),
+)
+ICOSA_POINT = np.array(
+    [0.5647906388412527, -0.3911183003011913, 0.42047298132873007]
+)
+ICOSA_REFS = (
+    (0.001, 6.28459562374446350669030458105),
+    (0.1, 6.43481825268546627505811142813),
+    (0.5, 7.29219658349410537182170024001),
+    (0.9, 8.69318053669168787648781409117),
+    (0.97, 9.01340169986147920767385665078),
+    (0.999, 9.15387277664091475046293159941),
+)
+
+
+def test_hull_chord_matches_mpmath_references():
+    cases = (("cube", CUBE_POINT, CUBE_REFS), ("icosa", ICOSA_POINT, ICOSA_REFS))
+    for name, x, refs in cases:
+        body = load_fixture(name)
+        for alpha, want in refs:
+            got = halpha_chord(body, x, alpha)
+            assert abs(got.value - want) < 1e-10
+            assert abs(got.value - want) <= got.estimated_error < 1e-11
+
+
+def test_hull_chord_where_foot_points_meet_edge_lines():
+    # from a cube face centre the foot point on every side face lies on an
+    # edge's line (d = 0), and the centre sits on its own face's diagonal
+    cube = load_fixture("cube")
+    centres = np.array([[0.5, 0.0, 0.5], [0.5, 1.0, 0.5], [0.0, 0.5, 0.5], [0.5, 0.5, 1.0]])
+    normals = np.array([[0, -1, 0], [0, 1, 0], [-1, 0, 0], [0, 0, 1]], dtype=float)
+    for alpha in (0.1, 0.5, 0.9):
+        values = [
+            halpha_chord(cube, x, alpha, normal=nu).value for x, nu in zip(centres, normals)
+        ]
+        assert np.ptp(values) < 1e-13 * values[0]
+        nearby = halpha_chord(cube, centres[0] + [1e-8, 0.0, 2e-8], alpha).value
+        assert nearby == pytest.approx(values[0], rel=1e-6)
+
+
+def random_rotation(rng):
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    return q if np.linalg.det(q) > 0 else -q
+
+
+@pytest.mark.parametrize("name", ["cube", "icosa", "hull3d"])
+def test_hull_chord_is_invariant_under_motions_and_scales_under_dilation(name):
+    rng = np.random.default_rng(19)
+    body = corpus.random_hull3d(rng) if name == "hull3d" else load_fixture(name)
+    quad = surface_quadrature(body, 80)
+    rot, shift = random_rotation(rng), np.array([0.25, -0.5, 0.125])
+    moved = Hull3D(body.vertices @ rot.T + shift, body.faces)
+    for alpha in (0.001, 0.05, 0.5, 0.95, 0.999):
+        for i in range(0, quad.node_count, 7):
+            x, nu = quad.points[i], quad.normals[i]
+            base = halpha_chord(body, x, alpha, normal=nu).value
+            turned = halpha_chord(moved, rot @ x + shift, alpha, normal=rot @ nu).value
+            assert turned == pytest.approx(base, rel=1e-12)
+            for lam in (0.37, 2.9):
+                grown = halpha_chord(body.scaled(lam), lam * x, alpha, normal=nu).value
+                assert grown == pytest.approx(lam ** (-alpha) * base, rel=1e-12)
 
 
 def test_ball_radius_homogeneity():

@@ -8,7 +8,6 @@ from fracgeo.quadrature import (
     abs_cosine_integral,
     graded_half_rule,
     graded_interval,
-    rotation_between,
     sphere_rule,
 )
 
@@ -82,13 +81,10 @@ def test_abs_cosine_rotation_invariance():
 
 def test_half_rule_constants_and_sidedness():
     rng = np.random.default_rng(1)
-    for n, res in ((1, 720), (2, 4608)):
-        nu = random_unit(rng, n + 1)
-        rule = graded_half_rule(nu, 0.5, res)
-        assert rule.weights.sum() == pytest.approx(
-            oracles.SPHERE_MEASURE[n] / 2.0, abs=1e-10
-        )
-        assert np.max(rule.directions @ nu) < 0.0
+    nu = random_unit(rng, 2)
+    rule = graded_half_rule(nu, 0.5, 720)
+    assert rule.weights.sum() == pytest.approx(oracles.SPHERE_MEASURE[1] / 2.0, abs=1e-10)
+    assert np.max(rule.directions @ nu) < 0.0
 
 
 def test_half_rule_singular_model_n1():
@@ -99,16 +95,6 @@ def test_half_rule_singular_model_n1():
         down = -(rule.directions @ nu)
         value = float(np.sum(rule.weights * down ** (-alpha)))
         assert value == pytest.approx(oracles.sin_power_integral(alpha), rel=tol)
-
-
-def test_half_rule_singular_model_n2():
-    # the polar model sin^(-alpha) integrates in closed form to 2 pi/(1-alpha)
-    nu = np.array([0.0, 0.0, 1.0])
-    for alpha in (0.25, 0.5, 0.75):
-        rule = graded_half_rule(nu, alpha, 4608)
-        down = -(rule.directions @ nu)
-        value = float(np.sum(rule.weights * down ** (-alpha)))
-        assert value == pytest.approx(2.0 * np.pi / (1.0 - alpha), rel=1e-9)
 
 
 def test_half_rule_refinement_cuts_error():
@@ -122,30 +108,6 @@ def test_half_rule_refinement_cuts_error():
         return abs(float(np.sum(rule.weights * down ** (-alpha))) - target)
 
     assert err(720) <= err(360) / 2.0
-
-
-def test_half_rule_orientation_covariance():
-    # the same singular model must come out rotation independent
-    rng = np.random.default_rng(17)
-    alpha = 0.5
-    values = []
-    for _ in range(6):
-        nu = random_unit(rng, 3)
-        rule = graded_half_rule(nu, alpha, 4608)
-        down = -(rule.directions @ nu)
-        values.append(float(np.sum(rule.weights * down ** (-alpha))))
-    assert np.ptp(values) < 1e-9 * np.mean(values)
-
-
-def test_rotation_between_maps_and_degenerates():
-    rng = np.random.default_rng(23)
-    for _ in range(5):
-        a, b = random_unit(rng, 3), random_unit(rng, 3)
-        rot = rotation_between(a, b)
-        assert np.allclose(rot @ a, b, atol=1e-12)
-        assert np.allclose(rot @ rot.T, np.eye(3), atol=1e-12)
-    flip = rotation_between(np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0]))
-    assert np.allclose(flip @ [0, 0, 1], [0, 0, -1], atol=1e-12)
 
 
 def test_graded_interval_reproduces_singular_moments():
