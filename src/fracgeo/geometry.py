@@ -810,67 +810,137 @@ def circle_crossings(a: np.ndarray, d: np.ndarray, r: float):
 
     A line that misses the circle gets its foot point from the origin twice.
     """
-    dd, ad = np.vecdot(d, d), np.vecdot(a, d)
-    root = np.sqrt(np.maximum(ad**2 - dd * (np.vecdot(a, a) - r**2), 0.0))
-    return (-ad - root) / dd, (-ad + root) / dd
+    dd = np.vecdot(d, d)
+    mid = -np.vecdot(a, d) / dd
+    foot = a + mid[..., None] * d
+    half = np.sqrt(np.maximum(r**2 - np.vecdot(foot, foot), 0.0) / dd)
+    return mid - half, mid + half
 
 
-def sphere_cap_measure(
-    body: ConvexBody, x: np.ndarray, radius: float, resolution: int = 4096
-) -> float:
-    """Measure of the sphere around x of given radius inside the body.
+def sphere_cap_measure(body: ConvexBody, x: np.ndarray, radius: float) -> float:
+    """Measure of the sphere around x of given radius inside the body, exactly.
 
-    Planar case, exact: a disk's arc follows from the law of cosines; a
-    polygon's edge crossings cut the circle into arcs wholly in or out,
-    classified by their midpoints. Solid case: icosahedral cells classified
-    by their node, cells straddling the boundary refined.
+    A disk's arc and a ball's cap follow from the law of cosines, a
+    polygon's arcs from its edges (`_disk_polygon_pieces`). On a hull,
+    x + radius w lies inside when the ray along w leaves through a facet
+    beyond the sphere: the cap is radius^2 times the sum of the solid
+    angles of the facets' parts outside the ball (`_hull_pieces`), signed
+    so that rays from outside that enter and leave count once.
     """
     x = np.asarray(x, dtype=float)
     if radius <= 0:
         raise TargetOutOfRangeError("radius must be positive")
-    if isinstance(body, Ball) and body.dim == 2:
+    if isinstance(body, Ball):
+        # x + radius w is in the ball iff <w, e> < q, e the unit vector from
+        # the centre to x; about the centre the sphere is wholly in or out
         dist = float(np.linalg.norm(x - body.center))
         top = body.radius**2 - dist**2 - radius**2
-        cos_edge = top / (2.0 * radius * dist) if dist > 0.0 else np.sign(body.radius - radius)
-        return float(radius * (2.0 * np.pi - 2.0 * np.arccos(np.clip(cos_edge, -1.0, 1.0))))
+        q = top / (2.0 * radius * dist) if dist > 0.0 else np.sign(body.radius - radius)
+        q = np.clip(q, -1.0, 1.0)
+        if body.dim == 3:
+            return float(2.0 * np.pi * radius**2 * (1.0 + q))
+        return float(radius * (2.0 * np.pi - 2.0 * np.arccos(q)))
+    if isinstance(body, Hull3D):
+        return float(radius**2 * _hull_pieces(body, x, radius)[2].sum())
+    return float(radius * _disk_polygon_pieces(body.vertices - x, body.edges, np.array(radius))[1])
+
+
+def _hull_pieces(body: Hull3D, x: np.ndarray, radius: float):
+    """Per facet j: x's height h_j under it, the area of its piece inside
+    B_radius(x), and the solid angle from x of the rest of the facet.
+
+    The piece is the facet met with the disk of radius sqrt(radius^2 - h_j^2)
+    about x's foot point (`_disk_polygon_pieces`). Solid angles are signed
+    like h_j (Van Oosterom and Strackee's formula for a triangle), and the
+    piece's solid angle splits the same way as its area, edge by edge:
+    triangles from the foot point, and sectors of the disk, where an angle
+    phi subtends phi (sign h_j - h_j / radius). Facets in x's plane
+    subtend nothing.
+    """
+    h = body.facet_offsets - body.facet_normals @ x
+    h = np.where(np.abs(h) > BOUNDARY_REL_TOL * body.diameter(), h, 0.0)
+    rho = np.sqrt(np.maximum(radius**2 - h**2, 0.0))
+    # corners about the foot points, in the frame (first edge, its inward normal)
+    rel = body.face_corners - (x + h[:, None] * body.facet_normals)[:, None]
+    frame = np.stack([body.edge_tangents[:, 0], body.edge_normals[:, 0]], axis=1)
+    a = np.einsum("fkc,fic->fki", rel, frame)
+    area, turns, p0, p1 = _disk_polygon_pieces(a, np.roll(a, -1, axis=1) - a, rho)
+    # seen from x, a point at p in the frame lies at (p, h)
+    up = np.broadcast_to(h[:, None, None], a[..., :1].shape)
+    foot, c, q0, q1 = (np.concatenate([p, up], axis=-1) for p in (0.0 * a, a, p0, p1))
+    whole = _solid_angle(c[:, 0], c[:, 1], c[:, 2])
+    near = _solid_angle(foot, q0, q1).sum(axis=1)
+    rest = whole - near - (np.sign(h) - np.clip(h / radius, -1.0, 1.0)) * turns
+    return h, area, np.where(h == 0.0, 0.0, rest)
+
+
+def _solid_angle(p, q, w):
+    """Signed solid angle of the triangles with corners p, q, w seen from the origin."""
+    lp, lq, lw = _norms(p), _norms(q), _norms(w)
+    denom = lp * lq * lw + np.vecdot(p, q) * lw + np.vecdot(p, w) * lq + np.vecdot(q, w) * lp
+    return 2.0 * np.arctan2(np.vecdot(p, np.cross(q, w)), denom)
+
+
+def ball_intersection_volume(
+    body: ConvexBody, x: np.ndarray, radius: float, cap: Optional[float] = None
+) -> float:
+    """Volume (area in the plane) of the body's intersection with the ball B_radius(x), exactly.
+
+    The divergence theorem with the field y - x gives dim * V = radius * cap
+    plus the integral of (y - x).nu over the body's boundary inside the
+    ball, `cap` being `sphere_cap_measure(body, x, radius)` (computed if not
+    given; polygons need none). On facet j, (y - x).nu is x's signed height
+    h_j under it, and the facet's piece is a planar area about x's foot
+    point, of radius sqrt(radius^2 - h_j^2) (`_disk_polygon_pieces`, which
+    also gives a polygon's whole area). On a ball's sphere it is
+    (R^2 - d z)/R, z the coordinate along the unit e from the centre to x,
+    inside the ball for z > m.
+    """
+    x = np.asarray(x, dtype=float)
+    if radius <= 0:
+        raise TargetOutOfRangeError("radius must be positive")
     if isinstance(body, Polygon2D):
-        a, d = body.vertices - x, body.edges
-        t = np.stack(circle_crossings(a, d, radius))
-        p = (a + t[..., None] * d)[(t >= 0.0) & (t <= 1.0)]
-        # a cut at -pi as well, so a circle no edge crosses is one whole arc
-        cuts = np.sort(np.append(np.arctan2(p[:, 1], p[:, 0]), -np.pi))
-        arcs = np.diff(np.append(cuts, np.pi))
-        mids = cuts + 0.5 * arcs
-        inside = body.contains(x + radius * np.stack([np.cos(mids), np.sin(mids)], axis=1))
-        return float(radius * arcs[inside].sum())
+        return float(_disk_polygon_pieces(body.vertices - x, body.edges, np.array(radius))[0])
+    if cap is None:
+        cap = sphere_cap_measure(body, x, radius)
+    if isinstance(body, Ball):
+        big, d = body.radius, float(np.linalg.norm(x - body.center))
+        m = (big**2 + d**2 - radius**2) / (2.0 * d) if d > 0.0 else np.sign(big - radius) * big
+        m = np.clip(m, -big, big)
+        if body.dim == 2:
+            half = np.arccos(m / big)
+            return float(0.5 * radius * cap + big * (big * half - d * np.sin(half)))
+        surface = 2.0 * np.pi * (big - m) * (big**2 - 0.5 * d * (big + m))
+        return float((radius * cap + surface) / 3.0)
+    h, area, _ = _hull_pieces(body, x, radius)
+    return float((radius * cap + h @ area) / 3.0)
 
-    level = 0
-    while 20 * 4**level < resolution:
-        level += 1
-    corners, nodes, solid = sphere_mesh(level)
-    return radius**2 * _cap_cells(body, x, radius, corners, nodes, solid, depth=3)
+
+def _disk_polygon_pieces(a: np.ndarray, d: np.ndarray, rho: np.ndarray):
+    """Areas of counter-clockwise polygons met with disks about the origin,
+    the angles of the disks' circles inside the polygons, and the ends of
+    each edge's piece inside its disk.
+
+    a (..., m, 2) holds the corners, d the edge vectors, rho (...) the
+    radii. By Green's theorem edge by edge: the edge's piece inside the
+    disk adds half the cross product of its ends, and the circle's arcs
+    between that piece and the rays through the edge's ends add their
+    signed angles, which sum to the angle inside.
+    """
+    t0, t1 = circle_crossings(a, d, rho[..., None])
+    p0 = a + np.clip(t0, 0.0, 1.0)[..., None] * d
+    p1 = a + np.clip(t1, 0.0, 1.0)[..., None] * d
+    turns = (_turn(a, p0) + _turn(p1, a + d)).sum(axis=-1)
+    return 0.5 * (_cross2(p0, p1).sum(axis=-1) + rho**2 * turns), turns, p0, p1
 
 
-def _cap_cells(body, x, radius, corners, nodes, solid, depth):
-    pts = x + radius * nodes
-    node_in = body.contains(pts)
-    corner_in = body.contains(
-        x + radius * corners.reshape(-1, 3)
-    ).reshape(len(corners), 3)
-    uniform_in = node_in & corner_in.all(axis=1)
-    uniform_out = ~node_in & ~corner_in.any(axis=1)
-    total = float(solid[uniform_in].sum())
-    straddle = ~(uniform_in | uniform_out)
-    if depth == 0:
-        return total + float(solid[straddle & node_in].sum())
-    subs = split4(corners[straddle], sphere=True)
-    bary, areas = sphere_cells(subs)
-    # one parent at a time, so the sum keeps the order of a depth-first walk
-    for k in range(0, len(subs), 4):
-        total += _cap_cells(
-            body, x, radius, subs[k : k + 4], bary[k : k + 4], areas[k : k + 4], depth - 1
-        )
-    return total
+def _cross2(u, w):
+    return u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0]
+
+
+def _turn(u, w):
+    """Signed angle from direction u to direction w (0 if either is zero)."""
+    return np.arctan2(_cross2(u, w), np.vecdot(u, w))
 
 
 def projection_measure(body: ConvexBody, sigma: np.ndarray) -> float:

@@ -15,11 +15,11 @@ from typing import Optional
 import numpy as np
 
 from ..geometry import (
-    Ball,
     ConvexBody,
     NodeSubset,
     Params,
     SurfaceQuadrature,
+    ball_intersection_volume,
     ball_patch_measure,
     matching_radius,
     sphere_cap_measure,
@@ -216,42 +216,28 @@ def check_localized_identity(
     )
 
 
-def intersection_volume(
-    body: ConvexBody, x: np.ndarray, radius: float, rng: np.random.Generator,
-    samples: int = 60000,
-) -> float:
-    """Monte Carlo volume of the body's intersection with a ball around x."""
-    if isinstance(body, Ball):
-        lo = body.center - body.radius
-        hi = body.center + body.radius
-    else:
-        lo = body.vertices.min(axis=0)
-        hi = body.vertices.max(axis=0)
-    lo = np.maximum(lo, np.asarray(x) - radius)
-    hi = np.minimum(hi, np.asarray(x) + radius)
-    if np.any(hi <= lo):
-        return 0.0
-    pts = rng.uniform(lo, hi, size=(samples, len(lo)))
-    inside = body.contains(pts) & (np.linalg.norm(pts - x, axis=1) < radius)
-    return float(np.prod(hi - lo) * inside.mean())
-
-
 def check_reverse_isoperimetric(
     body: ConvexBody,
     quad: SurfaceQuadrature,
     x_index: int,
     radius: float,
     constant: float,
-    rng: np.random.Generator,
     rel_tolerance: float = 0.0,
+    measures: Optional[tuple[float, float]] = None,
 ) -> InequalityReport:
-    """Ball split volumes are controlled by the sphere cap inside the body."""
+    """Ball split volumes are controlled by the sphere cap inside the body.
+
+    `measures` is the (volume inside, cap) pair of an earlier report on the
+    same instance, which refitting the constant reuses.
+    """
     n = body.n
     x = quad.points[x_index]
-    vol_in = intersection_volume(body, x, radius, rng)
+    if measures is None:
+        cap = sphere_cap_measure(body, x, radius)
+        measures = ball_intersection_volume(body, x, radius, cap), cap
+    vol_in, cap = measures
     vol_out = max(body.area() - vol_in, 0.0)
     lhs = min(vol_in, vol_out) ** (n / (n + 1.0))
-    cap = sphere_cap_measure(body, x, radius)
     rhs = constant * cap
     return bound_report(
         "ball-split-isoperimetric",

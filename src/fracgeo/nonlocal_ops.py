@@ -108,17 +108,17 @@ def halpha_chord(
     """Curvature of order alpha by the chord form.
 
     Every body is integrated exactly: balls in closed form, polygons edge by
-    edge (`_planar_halpha`), hulls facet by facet (`_hull_halpha`). Points
-    within 1e-9 of a facet boundary return an overflow-flagged infinity;
-    supplying `normal` bypasses the locality checks (the caller vouches for
-    the point, as the flow does for markers).
+    edge (`_planar_halpha`), hulls facet by facet (`_hull_halpha`). A point
+    off the surface raises. Points within 1e-9 of a facet boundary return an
+    overflow-flagged infinity, unless `normal` is given: a caller that knows
+    the point's facet normal (a quadrature node's) vouches that it is a
+    regular point, and its value is not read.
     """
     Params(body.n, alpha)  # rejects alpha outside (0, 1)
     x = np.asarray(x, dtype=float)
-    if normal is None:
-        _require_on_surface(body, x)
-        if body.is_polytope and boundary_distance(body, x) < _on_surface_tol(body):
-            return CurvatureValue(x, np.inf, "chord", np.nan, overflow=True)
+    _require_on_surface(body, x)
+    if normal is None and body.is_polytope and boundary_distance(body, x) < _on_surface_tol(body):
+        return CurvatureValue(x, np.inf, "chord", np.nan, overflow=True)
     values, errors = _chord_values(body, x[None], alpha)
     return CurvatureValue(x, float(values[0]), "chord", float(errors[0]))
 

@@ -294,15 +294,14 @@ def _fitted_constants(named, scale):
         )
         inst.append((k, spec, body, quad, anchor, cap))
 
-    def split_rep(k, spec, body, quad, anchor, constant):
+    def split_rep(spec, body, quad, anchor, constant):
         return checks.check_reverse_isoperimetric(
-            body, quad, anchor, spec["split_frac"] * body.diameter(), constant,
-            np.random.default_rng([0, 431, k]), rel_tolerance=0.0,
+            body, quad, anchor, spec["split_frac"] * body.diameter(), constant
         )
 
     c_split = 0.0
     for k, spec, body, quad, anchor, cap in inst[:14]:
-        probe = split_rep(k, spec, body, quad, anchor, 1.0)
+        probe = split_rep(spec, body, quad, anchor, 1.0)
         if probe.details["cap"] > 1e-12:
             c_split = max(c_split, probe.lhs / probe.details["cap"])
     c_split *= 1.0 + 1e-9
@@ -348,7 +347,7 @@ def _fitted_constants(named, scale):
         passes.extend(probe(row, fitted[key]).passed for row in rows)
     fitted["split"] = c_split
     passes.extend(
-        split_rep(k, spec, body, quad, anchor, c_split).passed
+        split_rep(spec, body, quad, anchor, c_split).passed
         for k, spec, body, quad, anchor, cap in inst[:14]
     )
     return fitted, all(passes)

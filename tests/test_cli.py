@@ -1,6 +1,10 @@
 """Command line driver: record streams, exit codes, rerun determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,3 +187,14 @@ def test_flow_circle_summary_and_files(tmp_path):
     )
     assert csv.read_text().startswith("step,t,perimeter,area,dt,h_min,h_max")
     assert "<svg" in svg.read_text()
+
+
+def test_python_dash_m_runs_the_command_line():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "fracgeo", "--help"], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0
+    assert "verify" in done.stdout and done.stdout.startswith("usage: fracgeo")

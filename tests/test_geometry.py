@@ -17,6 +17,7 @@ from fracgeo.geometry import (
     ResolutionTooLowError,
     TargetOutOfRangeError,
     NodeSubset,
+    ball_intersection_volume,
     ball_patch_measure,
     chord_length,
     make_body,
@@ -28,7 +29,13 @@ from fracgeo.geometry import (
 )
 from fracgeo.fixtures import load_fixture
 from fracgeo.inequalities import corpus
-from fracgeo.icosphere import icosahedron, sphere_mesh, spherical_triangle_areas, split4
+from fracgeo.icosphere import (
+    icosahedron,
+    sphere_cells,
+    sphere_mesh,
+    spherical_triangle_areas,
+    split4,
+)
 
 import oracles
 
@@ -536,8 +543,8 @@ def test_cap_ratio_small_radius_limit():
     cap = sphere_cap_measure(disk, np.array([1.0, 0.0]), 0.01)
     assert cap / 0.01 == pytest.approx(np.pi, rel=0.05)
     ball = Ball(3, np.zeros(3), 1.0)
-    cap = sphere_cap_measure(ball, np.array([0.0, 0.0, 1.0]), 0.05, resolution=1280)
-    assert cap / 0.05**2 == pytest.approx(2.0 * np.pi, rel=0.05)
+    cap = sphere_cap_measure(ball, np.array([0.0, 0.0, 1.0]), 0.05)
+    assert cap / 0.05**2 == pytest.approx(2.0 * np.pi * (1.0 - 0.05 / 2.0), rel=1e-12)
 
 
 def test_cap_measure_matches_circle_closed_form():
@@ -607,6 +614,247 @@ def test_planar_cap_measure_matches_the_scan():
         big = 1.5 * body.diameter()
         assert sphere_cap_measure(body, x, big) == _scan_cap_measure(body, x, big) == 0.0
     assert cases >= 20  # a good share of the circles cross the boundary
+
+
+def box(lo, hi) -> Hull3D:
+    corners = [[x, y, z] for x in (lo[0], hi[0]) for y in (lo[1], hi[1]) for z in (lo[2], hi[2])]
+    return make_body({"type": "hull3d", "vertices": corners})
+
+
+def assert_measures(body, x, radius, cap, volume, rel=1e-12):
+    got_cap = sphere_cap_measure(body, x, radius)
+    got_volume = ball_intersection_volume(body, x, radius)
+    assert got_cap == pytest.approx(cap, rel=rel, abs=rel * radius**body.n)
+    assert got_volume == pytest.approx(volume, rel=rel, abs=rel * radius**body.dim)
+    assert ball_intersection_volume(body, x, radius, got_cap) == got_volume
+
+
+@pytest.mark.parametrize("depth", [-0.6, -0.3, 0.0, 0.2, 0.55])
+def test_cap_and_volume_under_a_half_space(depth):
+    # x at signed depth d under the face of a large box or square, radius 0.7
+    r, d = 0.7, depth
+    big = box([-50.0, -50.0, -100.0], [50.0, 50.0, 0.0])
+    cap = 2.0 * np.pi * r * (r + d)
+    volume = 4.0 / 3.0 * np.pi * r**3 - np.pi * (r - d) ** 2 * (2.0 * r + d) / 3.0
+    assert_measures(big, np.array([0.3, -0.2, -d]), r, cap, volume)
+    square = make_body(
+        {"type": "polygon", "vertices": [[-50, -100], [50, -100], [50, 0], [-50, 0]]}
+    )
+    arc = 2.0 * r * (np.pi - np.arccos(d / r))
+    area = r * r * (np.pi - np.arccos(d / r)) + d * np.sqrt(r * r - d * d)
+    assert_measures(square, np.array([0.3, -d]), r, arc, area)
+
+
+def test_cap_and_volume_on_the_unit_cube():
+    cube = load_fixture("cube")
+    x = np.array([0.5, 0.5, 1.0])
+    for r in (0.15, 0.3, 0.5):
+        # the half ball under the face centre
+        assert_measures(cube, x, r, 2.0 * np.pi * r * r, 2.0 * np.pi * r**3 / 3.0)
+    for r in (0.55, 0.6, 0.7):
+        # past the four side faces, whose half caps do not meet while r < sqrt(1/2)
+        h = r - 0.5
+        cap = 2.0 * np.pi * r * r - 4.0 * np.pi * r * h
+        volume = 2.0 * np.pi * r**3 / 3.0 - 2.0 * np.pi * h * h * (3.0 * r - h) / 3.0
+        assert_measures(cube, x, r, cap, volume)
+    # a quarter ball on an edge, an eighth at a corner
+    for y, share in (([0.5, 1.0, 1.0], 0.25), ([1.0, 1.0, 1.0], 0.125)):
+        ball = 4.0 / 3.0 * np.pi * 0.3**3
+        assert_measures(cube, np.array(y), 0.3, share * 4.0 * np.pi * 0.3**2, share * ball)
+    # wholly inside, wholly outside, and a sphere around the whole cube
+    centre = np.array([0.5, 0.5, 0.5])
+    assert_measures(cube, centre, 0.4, 4.0 * np.pi * 0.16, 4.0 / 3.0 * np.pi * 0.064)
+    assert_measures(cube, np.array([3.0, 0.5, 0.5]), 1.5, 0.0, 0.0)
+    assert_measures(cube, x, 2.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("r", [0.45, 1.0, 2.5])
+def test_cap_and_volume_of_a_slab(r):
+    # a slab of width 0.4 under x: the sphere meets both faces, so the cap is an annulus
+    w = 0.4
+    slab = box([-50.0, -50.0, -w], [50.0, 50.0, 0.0])
+    x = np.array([0.1, 0.2, 0.0])
+    assert_measures(slab, x, r, 2.0 * np.pi * r * w, np.pi * (r * r * w - w**3 / 3.0))
+    strip = make_body({"type": "polygon", "vertices": [[-50, -w], [50, -w], [50, 0], [-50, 0]]})
+    arc = 2.0 * r * np.arcsin(w / r)
+    area = w * np.sqrt(r * r - w * w) + r * r * np.arcsin(w / r)
+    assert_measures(strip, np.array([0.1, 0.0]), r, arc, area)
+
+
+def test_ball_cap_and_lens_closed_forms():
+    big = 1.3
+    for dim in (2, 3):
+        ball = Ball(dim, np.full(dim, 0.2), big)
+        pole = ball.center + big * np.eye(dim)[-1]
+        # equal balls a radius apart
+        if dim == 2:
+            lens = (2.0 * np.pi / 3.0 - np.sqrt(3.0) / 2.0) * big**2
+        else:
+            lens = 5.0 * np.pi * big**3 / 12.0
+        assert ball_intersection_volume(ball, pole, big) == pytest.approx(lens, rel=1e-12)
+        # wholly inside and wholly outside
+        small = Ball(dim, ball.center, 0.5)
+        assert ball_intersection_volume(ball, ball.center, 0.5) == pytest.approx(small.area())
+        assert ball_intersection_volume(ball, ball.center, 2.0) == pytest.approx(ball.area())
+        assert ball_intersection_volume(ball, pole + 0.5, 0.1) == 0.0
+        assert sphere_cap_measure(ball, ball.center, 0.5) == pytest.approx(small.perimeter())
+        assert sphere_cap_measure(ball, ball.center, 2.0) == 0.0
+        assert sphere_cap_measure(ball, pole + 0.5, 0.1) == 0.0
+    ball = Ball(3, np.array([0.2, -0.4, 0.1]), big)
+    rng = np.random.default_rng(4)
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    for _ in range(12):
+        e = rng.normal(size=3)
+        e /= np.linalg.norm(e)
+        dist, r = rng.uniform(0.0, 2.0), rng.uniform(0.05, 2.5)
+        # on the sphere q = -r / 2R; off it the cap is 2 pi r^2 (1 + q)
+        on = 2.0 * np.pi * r * r * max(1.0 - r / (2.0 * big), 0.0)
+        assert sphere_cap_measure(ball, ball.center + big * e, r) == pytest.approx(on, rel=1e-12)
+
+        def cap(s):
+            q = np.clip((big**2 - dist**2 - s * s) / (2 * s * dist), -1.0, 1.0)
+            return 2.0 * np.pi * s * s * (1.0 + q)
+
+        x = ball.center + dist * e
+        assert sphere_cap_measure(ball, x, r) == pytest.approx(cap(r), rel=1e-12, abs=1e-15)
+        # the volume is the cap integrated over the radius, a cubic between the kinks
+        kinks = np.unique(np.clip([0.0, abs(big - dist), big + dist, r], 0.0, r))
+        total = sum(
+            0.5 * (hi - lo) * np.dot(weights, cap(lo + 0.5 * (hi - lo) * (nodes + 1.0)))
+            for lo, hi in zip(kinks[:-1], kinks[1:])
+        )
+        assert ball_intersection_volume(ball, x, r) == pytest.approx(total, rel=1e-12, abs=1e-15)
+
+
+def _walk_cap_measure(body, x, radius, resolution=4096):
+    """Reference: the solid cap measure the package computed before its
+    arc formula, icosahedral cells classified by node and corners, the
+    straddling ones split three levels down (error up to about 0.5 %)."""
+    level = 0
+    while 20 * 4**level < resolution:
+        level += 1
+    corners, nodes, solid = sphere_mesh(level)
+    return radius**2 * _cap_cells(body, x, radius, corners, nodes, solid, depth=3)
+
+
+def _cap_cells(body, x, radius, corners, nodes, solid, depth):
+    node_in = body.contains(x + radius * nodes)
+    corner_in = body.contains(x + radius * corners.reshape(-1, 3)).reshape(len(corners), 3)
+    uniform_in = node_in & corner_in.all(axis=1)
+    uniform_out = ~node_in & ~corner_in.any(axis=1)
+    total = float(solid[uniform_in].sum())
+    straddle = ~(uniform_in | uniform_out)
+    if depth == 0:
+        return total + float(solid[straddle & node_in].sum())
+    subs = split4(corners[straddle], sphere=True)
+    bary, areas = sphere_cells(subs)
+    for k in range(0, len(subs), 4):
+        total += _cap_cells(
+            body, x, radius, subs[k : k + 4], bary[k : k + 4], areas[k : k + 4], depth - 1
+        )
+    return total
+
+
+@pytest.mark.parametrize("seed", [0, 16, 208])
+def test_hull_cap_matches_the_cell_walk(seed):
+    rng = np.random.default_rng([seed, 31])
+    body = corpus.random_hull3d(rng)
+    quad = surface_quadrature(body, 80)
+    for _ in range(3):
+        x = quad.points[int(rng.integers(quad.node_count))]
+        radius = float(rng.uniform(0.15, 0.45)) * body.diameter()
+        got = sphere_cap_measure(body, x, radius)
+        assert abs(got - _walk_cap_measure(body, x, radius)) <= 5e-3 * got
+
+
+def test_hull_volume_is_the_cap_integrated_over_the_radius():
+    # d|K and B_r(x)|/dr = |dB_r(x) and K|; the cap is smooth between the
+    # radii at which the sphere meets a vertex, an edge or a facet plane
+    rng = np.random.default_rng(23)
+    body = corpus.random_hull3d(rng)
+    quad = surface_quadrature(body, 80)
+    nodes, weights = np.polynomial.legendre.leggauss(24)
+    for i in (3, 41, 66):
+        x = quad.points[i]
+        radius = 0.4 * body.diameter()
+        c = body.face_corners - x
+        e = np.roll(c, -1, axis=1) - c
+        t = np.clip(-np.vecdot(c, e) / np.vecdot(e, e), 0.0, 1.0)
+        kinks = np.concatenate([
+            np.linalg.norm(body.vertices - x, axis=1),
+            np.abs(body.facet_offsets - body.facet_normals @ x),
+            np.linalg.norm(c + t[..., None] * e, axis=-1).ravel(),
+        ])
+        edges = np.unique(np.concatenate([[0.0, radius], kinks[kinks < radius]]))
+        total = 0.0
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            rho = lo + 0.5 * (hi - lo) * (nodes + 1.0)
+            caps = [sphere_cap_measure(body, x, s) for s in rho]
+            total += 0.5 * (hi - lo) * np.dot(weights, caps)
+        assert ball_intersection_volume(body, x, radius) == pytest.approx(total, rel=1e-6)
+
+
+def test_polygon_area_is_the_divergence_identity():
+    # area = (r cap + sum_j h_j |edge_j and B|) / 2, each chord from the
+    # roots of |a + t d|^2 = r^2 clipped to the edge
+    rng = np.random.default_rng(12)
+    for _ in range(3):
+        body = corpus.random_ellipse_polygon(rng)
+        lo, hi = body.vertices.min(axis=0), body.vertices.max(axis=0)
+        for _ in range(10):
+            x = rng.uniform(lo - 0.3, hi + 0.3)
+            radius = float(np.exp(rng.uniform(np.log(0.05), np.log(3.0))))
+            h = body.facet_offsets - body.facet_normals @ x
+            a, d = body.vertices - x, body.edges
+            dd, ad = np.vecdot(d, d), np.vecdot(a, d)
+            root = np.sqrt(np.maximum(ad**2 - dd * (np.vecdot(a, a) - radius**2), 0.0))
+            t0, t1 = np.clip((-ad - root) / dd, 0, 1), np.clip((-ad + root) / dd, 0, 1)
+            chords = (t1 - t0) * np.sqrt(dd)
+            want = 0.5 * (radius * sphere_cap_measure(body, x, radius) + h @ chords)
+            got = ball_intersection_volume(body, x, radius)
+            assert got == pytest.approx(want, rel=1e-11, abs=1e-13 * radius**2)
+
+
+def _random_rotation(rng, dim):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)))
+    q = q * np.sign(np.diag(r))
+    return q if np.linalg.det(q) > 0 else -q
+
+
+@pytest.mark.parametrize("name", ["square", "polygon", "cube", "icosa", "hull3d"])
+def test_cap_and_volume_are_invariant_under_motions_and_scale_under_dilation(name):
+    rng = np.random.default_rng(29)
+    if name == "polygon":
+        body = corpus.random_ellipse_polygon(rng)
+    elif name == "hull3d":
+        body = corpus.random_hull3d(rng)
+    else:
+        body = load_fixture(name)
+    rot = _random_rotation(rng, body.dim)
+    shift = np.array([0.25, -0.5, 0.125])[: body.dim]
+    if body.dim == 2:
+        moved = Polygon2D(body.vertices @ rot.T + shift)
+    else:
+        moved = Hull3D(body.vertices @ rot.T + shift, body.faces)
+    quad = surface_quadrature(body, 80)
+    for i in range(0, quad.node_count, quad.node_count // 8):
+        x = quad.points[i]
+        for frac in (0.1, 0.3, 0.6, 1.2):
+            radius = frac * body.diameter()
+            cap = sphere_cap_measure(body, x, radius)
+            volume = ball_intersection_volume(body, x, radius)
+            assert volume > 0.0 and (cap > 0.0 or frac > 0.5)
+            y = rot @ x + shift
+            assert sphere_cap_measure(moved, y, radius) == pytest.approx(cap, rel=1e-12)
+            assert ball_intersection_volume(moved, y, radius) == pytest.approx(volume, rel=1e-12)
+            for lam in (0.37, 2.9):
+                grown = body.scaled(lam)
+                assert sphere_cap_measure(grown, lam * x, lam * radius) == pytest.approx(
+                    lam**body.n * cap, rel=1e-12
+                )
+                assert ball_intersection_volume(grown, lam * x, lam * radius) == pytest.approx(
+                    lam**body.dim * volume, rel=1e-12
+                )
 
 
 def test_patch_measure_saturates_at_diameter():

@@ -245,9 +245,7 @@ def test_flat_limit_cap_to_patch_ratio():
 def test_ball_split_inside_ball_is_trivial():
     disk = unit_disk()
     quad = surface_quadrature(disk, 120)
-    rep = checks.check_reverse_isoperimetric(
-        disk, quad, 0, radius=3.0, constant=1.0, rng=np.random.default_rng(0)
-    )
+    rep = checks.check_reverse_isoperimetric(disk, quad, 0, radius=3.0, constant=1.0)
     assert rep.passed and rep.lhs == 0.0
     assert rep.constant_provenance == "fitted"
 

@@ -289,6 +289,22 @@ def test_off_surface_point_rejected():
         halpha_chord(unit_disk(), np.array([0.5, 0.0]), 0.5)
 
 
+def test_a_supplied_normal_does_not_admit_off_surface_points():
+    cube = load_fixture("cube")
+    with pytest.raises(NonInteriorPointError):
+        halpha_chord(cube, np.array([0.5, 0.5, 0.5]), 0.5, normal=np.array([0.0, 0.0, 1.0]))
+    with pytest.raises(NonInteriorPointError):
+        halpha_chord(unit_disk(), np.array([0.5, 0.0]), 0.5, normal=np.array([1.0, 0.0]))
+    # a quadrature node with its normal keeps its value
+    for name, want in (("cube", 10.862335131037732), ("square", 4.0053359797756745),
+                       ("ball3d", 8.885765876316732)):
+        body = load_fixture(name)
+        quad = surface_quadrature(body, 80)
+        got = halpha_chord(body, quad.points[5], 0.5, normal=quad.normals[5]).value
+        assert got == pytest.approx(want, rel=1e-15)
+        assert got == halpha_chord(body, quad.points[5], 0.5).value
+
+
 # ---------------------------------------------------------------------------
 # boundary form cross-check
 
