@@ -19,7 +19,7 @@ from typing import Optional, Union
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .icosphere import sphere_cells, sphere_mesh, spherical_triangle_areas, split4
+from .icosphere import sphere_cells, sphere_mesh, split4
 
 # grazing-ray threshold for directional denominators
 RAY_EPSILON = 1e-12
@@ -434,10 +434,10 @@ def diameter(body: ConvexBody) -> float:
 class SurfaceQuadrature:
     """Node set on a body boundary: points, outward normals, weights, facets.
 
-    `patches` stores enough of each node's cell to subdivide it later:
-    segment endpoints for polygon edges, angle intervals for circles,
-    triangle corners for hull faces and sphere cells. `spacings` is the
-    cell diameter and drives near-field thresholds. `matrices` holds the
+    `patches` stores each node's cell, to integrate over exactly or to
+    subdivide: segment endpoints for polygon edges, angle intervals for
+    circles, triangle corners for hull faces and sphere cells. `spacings` is
+    the cell diameter and drives near-pair thresholds. `matrices` holds the
     read-only interaction matrices built on this node set, keyed by power
     (see `nonlocal_ops.interaction_matrix`); it lives and dies with the
     node set, so the arrays above must not change once one is built.
@@ -479,51 +479,6 @@ class SurfaceQuadrature:
         if isinstance(body, Hull3D):
             return _refine_planar_triangle(self.patches[i], self.normals[i], levels)
         return _refine_sphere_triangle(body, self.patches[i], levels)
-
-    def refine_towards(self, i: int, x, ratio: float = 0.4, max_depth: int = 16):
-        """Split cell i (a triangle) until every part is small next to its distance from x.
-
-        Parts at distance d stop splitting once their diameter drops under
-        ratio * d, grading the sub-cells geometrically toward x. This is what
-        near-singular kernels need when the evaluation point sits just off
-        the cell, where any fixed split depth loses an O(1) contribution.
-        Returns (points, normals, weights); weights still sum to the parent's.
-        The cell splits one depth level at a time; the leaves are put back in
-        the order of a depth-first stack that pops the last child first (path
-        key: 3 - child per level, padded to max_depth digits), so every sum
-        over them rounds as that walk's.
-        """
-        body = self.body
-        x = np.asarray(x, dtype=float)
-        sphere = isinstance(body, Ball)
-        cells = np.asarray(self.patches[i], dtype=float)[None]
-        if sphere:
-            cells = (cells - body.center) / body.radius
-        keys = np.zeros(1, dtype=np.int64)
-        parts = []
-        for depth in range(max_depth + 1):
-            ctr = cells.mean(axis=1)
-            diam = _norms(cells - cells[:, [1, 2, 0]]).max(axis=1)
-            if sphere:
-                ctr /= _norms(ctr)[:, None]
-                pts = body.center + body.radius * ctr
-                diam = body.radius * diam
-            else:
-                pts = ctr
-            split = (depth < max_depth) & (diam > ratio * _norms(pts - x))
-            leaf = ~split
-            parts.append((keys[leaf] * 4 ** (max_depth - depth), cells[leaf], ctr[leaf], pts[leaf]))
-            if not split.any():
-                break
-            cells = split4(cells[split], sphere)
-            keys = (4 * keys[split, None] + [3, 2, 1, 0]).ravel()
-        path, c, ctr, pts = (np.concatenate(a) for a in zip(*parts))
-        order = np.argsort(path)
-        c, ctr, pts = c[order], ctr[order], pts[order]
-        if sphere:
-            return pts, ctr, body.radius**2 * spherical_triangle_areas(c[:, 0], c[:, 1], c[:, 2])
-        w = 0.5 * _norms(np.cross(c[:, 1] - c[:, 0], c[:, 2] - c[:, 0]))
-        return pts, np.tile(self.normals[i], (len(c), 1)), w
 
 
 def _refine_segment(a, b, normal, parts):
@@ -824,7 +779,7 @@ def sphere_cap_measure(body: ConvexBody, x: np.ndarray, radius: float) -> float:
     polygon's arcs from its edges (`_disk_polygon_pieces`). On a hull,
     x + radius w lies inside when the ray along w leaves through a facet
     beyond the sphere: the cap is radius^2 times the sum of the solid
-    angles of the facets' parts outside the ball (`_hull_pieces`), signed
+    angles of the facets' parts outside the ball (`_triangle_pieces`), signed
     so that rays from outside that enter and leave count once.
     """
     x = np.asarray(x, dtype=float)
@@ -841,37 +796,44 @@ def sphere_cap_measure(body: ConvexBody, x: np.ndarray, radius: float) -> float:
             return float(2.0 * np.pi * radius**2 * (1.0 + q))
         return float(radius * (2.0 * np.pi - 2.0 * np.arccos(q)))
     if isinstance(body, Hull3D):
-        return float(radius**2 * _hull_pieces(body, x, radius)[2].sum())
+        _, _, whole, inside = _triangle_pieces(
+            body.face_corners, body.facet_normals, body.facet_offsets, x, radius,
+            BOUNDARY_REL_TOL * body.diameter())
+        return float(radius**2 * (whole - inside).sum())
     return float(radius * _disk_polygon_pieces(body.vertices - x, body.edges, np.array(radius))[1])
 
 
-def _hull_pieces(body: Hull3D, x: np.ndarray, radius: float):
-    """Per facet j: x's height h_j under it, the area of its piece inside
-    B_radius(x), and the solid angle from x of the rest of the facet.
+def _triangle_pieces(corners, normals, offsets, x, radius, flat):
+    """Per triangle, corners (k, 3, 3) in the planes <normals, y> = offsets:
+    x's height h under its plane, the area of its piece inside B_radius(x),
+    and the solid angles from x of the whole triangle and of that piece.
 
-    The piece is the facet met with the disk of radius sqrt(radius^2 - h_j^2)
+    The triangles may be a hull's facets or any cells cut from them. The
+    piece is the triangle met with the disk of radius sqrt(radius^2 - h^2)
     about x's foot point (`_disk_polygon_pieces`). Solid angles are signed
-    like h_j (Van Oosterom and Strackee's formula for a triangle), and the
+    like h (Van Oosterom and Strackee's formula for a triangle), and the
     piece's solid angle splits the same way as its area, edge by edge:
     triangles from the foot point, and sectors of the disk, where an angle
-    phi subtends phi (sign h_j - h_j / radius). Facets in x's plane
-    subtend nothing.
+    phi subtends phi (sign h - h / radius). Triangles within `flat` of x's
+    plane subtend nothing.
     """
-    h = body.facet_offsets - body.facet_normals @ x
-    h = np.where(np.abs(h) > BOUNDARY_REL_TOL * body.diameter(), h, 0.0)
+    h = offsets - normals @ x
+    h = np.where(np.abs(h) > flat, h, 0.0)
     rho = np.sqrt(np.maximum(radius**2 - h**2, 0.0))
     # corners about the foot points, in the frame (first edge, its inward normal)
-    rel = body.face_corners - (x + h[:, None] * body.facet_normals)[:, None]
-    frame = np.stack([body.edge_tangents[:, 0], body.edge_normals[:, 0]], axis=1)
+    rel = corners - (x + h[:, None] * normals)[:, None]
+    first = corners[:, 1] - corners[:, 0]
+    first /= _norms(first)[:, None]
+    frame = np.stack([first, np.cross(normals, first)], axis=1)
     a = np.einsum("fkc,fic->fki", rel, frame)
     area, turns, p0, p1 = _disk_polygon_pieces(a, np.roll(a, -1, axis=1) - a, rho)
     # seen from x, a point at p in the frame lies at (p, h)
     up = np.broadcast_to(h[:, None, None], a[..., :1].shape)
     foot, c, q0, q1 = (np.concatenate([p, up], axis=-1) for p in (0.0 * a, a, p0, p1))
     whole = _solid_angle(c[:, 0], c[:, 1], c[:, 2])
-    near = _solid_angle(foot, q0, q1).sum(axis=1)
-    rest = whole - near - (np.sign(h) - np.clip(h / radius, -1.0, 1.0)) * turns
-    return h, area, np.where(h == 0.0, 0.0, rest)
+    inside = _solid_angle(foot, q0, q1).sum(axis=1)
+    inside += (np.sign(h) - np.clip(h / radius, -1.0, 1.0)) * turns
+    return h, area, np.where(h == 0.0, 0.0, whole), np.where(h == 0.0, 0.0, inside)
 
 
 def _solid_angle(p, q, w):
@@ -912,7 +874,9 @@ def ball_intersection_volume(
             return float(0.5 * radius * cap + big * (big * half - d * np.sin(half)))
         surface = 2.0 * np.pi * (big - m) * (big**2 - 0.5 * d * (big + m))
         return float((radius * cap + surface) / 3.0)
-    h, area, _ = _hull_pieces(body, x, radius)
+    h, area, _, _ = _triangle_pieces(
+        body.face_corners, body.facet_normals, body.facet_offsets, x, radius,
+        BOUNDARY_REL_TOL * body.diameter())
     return float((radius * cap + h @ area) / 3.0)
 
 

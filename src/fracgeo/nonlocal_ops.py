@@ -1,13 +1,15 @@
 """Fractional curvature, nonlocal perimeters, and interaction sums.
 
-The curvature of order alpha at a boundary point has two independent
-evaluations: the chord form integrates (chord length)^(-alpha) over the
-inward half-sphere of directions, exactly on every body (in closed form on
-balls, edge by edge on polygons, facet by facet on hulls), and the boundary
-form sums the oriented kernel (y-x).nu(y)/|y-x|^(n+1+alpha) over surface nodes.
-The chord form is the reference; the boundary form cross-checks it and
-generalizes to restricted domains, where with exponent n+1 it becomes the
-solid-angle (double layer) sum. On planar bodies all of these are exact.
+The curvature of order alpha at a boundary point has two evaluations: the
+chord form integrates (chord length)^(-alpha) over the inward half-sphere of
+directions, and the boundary form integrates the oriented kernel
+(y-x).nu(y)/|y-x|^(n+1+alpha) over the surface, cell by cell of a node set.
+The divergence theorem makes them one integral, and both are exact on every
+body: in closed form on balls, edge by edge on polygons, facet by facet on
+hulls. With exponent n+1 the boundary kernel becomes the solid-angle
+(double layer) integral, which restricts to a node subset's cells or to a
+ball around x; it too is exact on every body, through the angle or solid
+angle of each cell, or on a sphere an integral around each cell's edges.
 
 Perimeters of node subsets and Gagliardo energies of node fields share one
 interaction engine, so the indicator identity (energy of an indicator equals
@@ -33,22 +35,20 @@ from .geometry import (
     SurfaceQuadrature,
     boundary_distance,
     circle_crossings,
+    _solid_angle,
+    _triangle_pieces,
     ray_exits,
 )
-from .icosphere import sphere_cells, split4
 from .quadrature import graded_half_rule, graded_interval
 
-# hull chord kernel: Gauss-Legendre rule per panel, longest panel (in u),
-# and (points x facets) per batch
+# edge kernels (hull chord form, sphere double layer): Gauss-Legendre rule
+# per panel, longest panel (in the edge variable), and (points x facets)
+# per hull batch
 EDGE_NODES, EDGE_WEIGHTS = np.polynomial.legendre.leggauss(12)
 EDGE_PANEL = 1.0
 NODE_BATCH = 2048
-# near-field node refinement: threshold in local spacings, and 4-split levels
-NEAR_FACTOR_CURVATURE = 3.0
+# near pairs in the interaction matrix: threshold in local spacings
 NEAR_FACTOR_PAIRS = 2.0
-NEAR_LEVELS = 2
-# dyadic depth for the cell containing the evaluation point on curved bodies
-OWN_CELL_DEPTH = 42
 
 
 class NonInteriorPointError(GeometryError):
@@ -179,13 +179,8 @@ def _hull_halpha(body: Hull3D, points: np.ndarray, alpha: float):
         ua, ub = np.arcsinh(t / ad), np.arcsinh((t + lengths[edge]) / ad)
         c = np.arcsinh(h / ad)
         cuts = np.stack([ua, *(np.clip(v, ua, ub) for v in (-c, 0.0, c)), ub], axis=1)
-        widths = np.diff(cuts, axis=1).ravel()
-        parts = np.ceil(widths / EDGE_PANEL).astype(int)
-        panel = np.repeat(np.arange(len(widths)), parts)
-        sub = np.arange(len(panel)) - np.repeat(np.cumsum(parts) - parts, parts)
-        half = 0.5 * (widths / np.maximum(parts, 1))[panel]
-        mid = cuts[:, :-1].ravel()[panel] + (2 * sub + 1) * half
-        cu = np.cosh(mid[:, None] + half[:, None] * EDGE_NODES)
+        panel, half, u = _panels(cuts[:, :-1].ravel(), cuts[:, 1:].ravel())
+        cu = np.cosh(u)
         power = -k * np.log1p(((ad / h)[panel // 4][:, None] * cu) ** 2)
         # (1 + R^2/h^2)^-k, less 1 where the face holds p
         f = np.exp(power)
@@ -195,6 +190,21 @@ def _hull_halpha(body: Hull3D, points: np.ndarray, alpha: float):
         values[first:first + step] = np.bincount(node, terms, len(x))
         errors[first:first + step] = np.bincount(node, np.abs(terms), len(x))
     return values, 64.0 * np.finfo(float).eps * errors
+
+
+def _panels(lo, hi):
+    """Gauss-Legendre panels at most EDGE_PANEL long tiling the intervals (lo, hi).
+
+    Returns each panel's interval index, its half width, and its nodes
+    (panels, len(EDGE_NODES)).
+    """
+    widths = hi - lo
+    parts = np.ceil(widths / EDGE_PANEL).astype(int)
+    panel = np.repeat(np.arange(len(widths)), parts)
+    sub = np.arange(len(panel)) - np.repeat(np.cumsum(parts) - parts, parts)
+    half = 0.5 * (widths / np.maximum(parts, 1))[panel]
+    mid = lo[panel] + (2 * sub + 1) * half
+    return panel, half, mid[:, None] + half[:, None] * EDGE_NODES
 
 
 def _planar_halpha(body: ConvexBody, x: np.ndarray, alpha: float) -> float:
@@ -279,7 +289,7 @@ def clipped_chord_sum(
 
 
 # ---------------------------------------------------------------------------
-# boundary-form sums
+# boundary form and double layer
 
 
 def _resolve_node(quad: SurfaceQuadrature, x) -> tuple[np.ndarray, Optional[int]]:
@@ -309,136 +319,30 @@ def _facet_of(quad: SurfaceQuadrature, x: np.ndarray, idx: Optional[int]) -> int
     return int(np.argmin(np.abs(slack)))
 
 
-def _kernel_terms(x, pts, nrms, wts, exponent):
-    diff = pts - x
-    dist = np.linalg.norm(diff, axis=1)
-    dot = np.einsum("ij,ij->i", diff, nrms)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.where(dist > 0.0, wts * dot / dist**exponent, 0.0)
-    return vals
-
-
-def _own_cell_sum(quad: SurfaceQuadrature, idx: int, exponent: float) -> float:
-    """Contribution of the cell containing x on a sphere.
-
-    Two points of a sphere of radius R at chord distance d have
-    dot(y - x, nu(y)) = d*d / (2R) exactly, so the integrand collapses to
-    d^(2-e) / (2R). The cell is split toward its own node by medial-triangle
-    recursion and each shell uses that closed form; forming the dot by
-    coordinate subtraction instead would drown in rounding noise at the deep
-    shells and the quotient by d^e would amplify it without bound.
-    """
-    body = quad.body
-    radius = body.radius
-    total = 0.0
-    x_unit = (quad.points[idx] - body.center) / radius
-    units = (np.asarray(quad.patches[idx]) - body.center) / radius
-    last = 0.0
-    for _ in range(OWN_CELL_DEPTH):
-        children = split4(units[None], sphere=True)
-        shell = children[:3]
-        for _ in range(3):
-            shell = split4(shell, sphere=True)
-        bary, solid = sphere_cells(shell)
-        w = radius**2 * solid
-        chords = radius * np.linalg.norm(bary - x_unit, axis=1)
-        last = float((w * chords ** (2.0 - exponent)).sum())
-        total += last
-        units = children[3]
-        # once the shells are flat their contributions decay geometrically;
-        # summing the tail in closed form avoids driving the triangle areas
-        # into rounding-degenerate territory
-        if np.linalg.norm(units[0] - x_unit) < 1e-6:
-            ratio = 2.0 ** (exponent - 4.0)
-            total += last * ratio / (1.0 - ratio)
-            break
-    return total / (2.0 * radius)
-
-
-def _boundary_sum(
-    quad: SurfaceQuadrature,
-    x,
-    exponent: float,
-    include: Optional[np.ndarray] = None,
-    within: Optional[float] = None,
-) -> tuple[float, float]:
-    """Oriented kernel sum over surface nodes with near-field and own-cell handling.
-
-    Returns (value, refinement difference). `include` restricts to a node
-    mask; `within` restricts to the ball of that radius around x, with
-    straddling cells split once and filtered by sub-node distance.
-    """
-    body = quad.body
-    pt, idx = _resolve_node(quad, x)
-    active = np.ones(quad.node_count, dtype=bool)
-    if include is not None:
-        active &= np.asarray(include, dtype=bool)
-    if idx is not None:
-        active_own = bool(active[idx])
-        active[idx] = False
-    else:
-        active_own = True
-    dist = np.linalg.norm(quad.points - pt, axis=1)
-    straddle = np.zeros(quad.node_count, dtype=bool)
-    if within is not None:
-        straddle = active & (np.abs(dist - within) <= quad.spacings)
-        active &= dist <= within
-    if body.is_polytope:
-        own_facet = _facet_of(quad, pt, idx)
-        same = quad.facet_ids == own_facet
-        active = active & ~same
-        straddle = straddle & ~same
-    spacing_x = quad.spacings[idx] if idx is not None else float(np.median(quad.spacings))
-    near = active & (dist < NEAR_FACTOR_CURVATURE * np.maximum(quad.spacings, spacing_x))
-    plain = active & ~near & ~straddle
-    near = near & ~straddle
-
-    value = float(
-        _kernel_terms(
-            pt, quad.points[plain], quad.normals[plain], quad.weights[plain], exponent
-        ).sum()
-    )
-    unrefined_near = float(
-        _kernel_terms(
-            pt, quad.points[near], quad.normals[near], quad.weights[near], exponent
-        ).sum()
-    )
-    refined_near = 0.0
-    for j in np.nonzero(near)[0]:
-        sp, sn, sw = quad.refine_towards(int(j), pt)
-        refined_near += float(_kernel_terms(pt, sp, sn, sw, exponent).sum())
-    value += refined_near
-    for j in np.nonzero(straddle)[0]:
-        sp, sn, sw = quad.refine_node(int(j), NEAR_LEVELS)
-        sd = np.linalg.norm(sp - pt, axis=1)
-        keep = sd <= within
-        value += float(_kernel_terms(pt, sp[keep], sn[keep], sw[keep], exponent).sum())
-    own_ok = within is None or 0.0 <= within  # own cell is at distance 0
-    if idx is not None and active_own and own_ok and not body.is_polytope:
-        value += _own_cell_sum(quad, idx, exponent)
-    return value, abs(refined_near - unrefined_near)
-
-
 def halpha_boundary(
     body: ConvexBody, quad: SurfaceQuadrature, x, alpha: float
 ) -> CurvatureValue:
-    """Curvature of order alpha by the boundary form over a node set.
+    """Curvature of order alpha by the boundary form over a node set's cells.
 
-    Planar bodies are integrated exactly (`_planar_halpha`). On hulls the
-    facet containing x contributes exactly zero and is skipped; other
-    near-field nodes are refined by facet subdivision. On spheres the cell
-    of x is resolved by the graded own-cell scheme.
+    The form integrates (y-x).nu(y)/|y-x|^(n+1+alpha) over the surface.
+    Summed exactly, cell by cell, the cells tile the surface: segments and
+    flat triangles tile the edges and facets, arcs and great-circle
+    triangles the circle and the sphere. So the sum is the surface integral
+    the chord form evaluates (`_chord_values`): on a facet at height h
+    under x, (y-x).nu = h, which is `_hull_halpha`'s kernel; on a sphere
+    (y-x).nu = |y-x|^2 / 2R, whose integral is 2 pi (2R)^-alpha/(1-alpha);
+    on planar bodies both forms are the same edge integrals. x is a node
+    index or point (on a polytope, any boundary point); the value is exact
+    and carries the chord form's error estimate.
     """
     Params(body.n, alpha)  # rejects alpha outside (0, 1)
     if quad.body is not body:
         raise GeometryError("quadrature was built for a different body")
-    pt, idx = _resolve_node(quad, x)
+    pt, _ = _resolve_node(quad, x)
     if body.is_polytope and boundary_distance(body, pt) < _on_surface_tol(body):
         return CurvatureValue(pt, np.inf, "boundary", np.nan, overflow=True)
-    if body.n == 1:
-        return CurvatureValue(pt, _planar_halpha(body, pt, alpha), "boundary", 0.0)
-    value, est = _boundary_sum(quad, x, body.n + 1.0 + alpha)
-    return CurvatureValue(pt, value, "boundary", est)
+    values, errors = _chord_values(body, pt[None], alpha)
+    return CurvatureValue(pt, float(values[0]), "boundary", float(errors[0]))
 
 
 def double_layer(
@@ -447,20 +351,135 @@ def double_layer(
     subset: Optional[NodeSubset] = None,
     within: Optional[float] = None,
 ) -> float:
-    """Solid-angle sum (y-x).nu(y)/|y-x|^(n+1) over a boundary region.
+    """Solid-angle integral of (y-x).nu(y)/|y-x|^(n+1) over cells of a node set.
 
     Unrestricted, this recovers half the sphere measure at every boundary
-    point of every convex body; restricted to a node subset or a ball around
-    x it measures the region's angular content seen from x. On planar bodies
-    the sum is exact: each cell adds the angle it subtends from x.
+    point of every convex body; restricted to a node subset's cells, or to
+    the part of the cells in the ball of radius `within` around x, it
+    measures that region's angular content seen from x. Every body is
+    integrated exactly, cell by cell: on a polygon each cell adds the angle
+    it subtends from x, on a circle half its central angle, on a hull the
+    solid angle of its flat triangle, and on a sphere an integral around its
+    edges (`_sphere_cell_angle`).
     """
     include = subset.mask if subset is not None else None
-    if isinstance(quad.body, Polygon2D):
+    body = quad.body
+    if isinstance(body, Polygon2D):
         return _polygon_angle(quad, x, include, within)
-    if quad.body.n == 1:
+    if body.n == 1:
         return _arc_angle(quad, x, include, within)
-    value, _ = _boundary_sum(quad, x, quad.body.n + 1.0, include=include, within=within)
+    if isinstance(body, Hull3D):
+        return _hull_cell_angle(quad, x, include, within)
+    return _sphere_cell_angle(quad, x, include, within)
+
+
+def _hull_cell_angle(quad, x, include, within):
+    """Solid angle the active flat cells subtend from x, each clipped to the ball.
+
+    Cells in x's facet plane subtend nothing. Unrestricted, each other cell
+    counts whole (Van Oosterom and Strackee's formula); `_triangle_pieces`
+    clips them to the ball.
+    """
+    body = quad.body
+    pt, _ = _resolve_node(quad, x)
+    active = slice(None) if include is None else np.asarray(include, dtype=bool)
+    cells, ids = quad.patches[active], quad.facet_ids[active]
+    flat = _on_surface_tol(body)
+    if within is None:
+        h = (body.facet_offsets - body.facet_normals @ pt)[ids]
+        c = cells - pt
+        return float(_solid_angle(c[:, 0], c[:, 1], c[:, 2])[np.abs(h) > flat].sum())
+    pieces = _triangle_pieces(
+        cells, body.facet_normals[ids], body.facet_offsets[ids], pt, within, flat)
+    return float(pieces[3].sum())
+
+
+def _sphere_cell_angle(quad, x, include, within):
+    """Solid angle of the active sphere cells from x, within the ball of radius r.
+
+    In geodesic polar coordinates (Phi, psi) about x, on a sphere of radius
+    R, (y-x).nu/|y-x|^3 dA = cos(Phi/2)/2 dPhi dpsi, whose radial primitive
+    is F(Phi) = sin(Phi/2): the alpha = 0 case of (2R)^-alpha
+    sin^(1-alpha)(Phi/2)/(1-alpha). The ball keeps Phi <= Phi_r =
+    2 arcsin(r/2R). By Green's theorem a cell is then the integral of
+    F(min(Phi, Phi_r)) dpsi around its edges (`_arc_terms`), and the cell
+    holding -x, where the polar coordinates wrap, adds 2 pi F(min(pi, Phi_r)).
+    Curved bodies take nodes only, so x is never on an edge.
+    """
+    body = quad.body
+    _, idx = _resolve_node(quad, x)
+    e = quad.normals[idx]
+    units = (quad.patches - body.center) / body.radius
+    top = 1.0 if within is None else min(within / (2.0 * body.radius), 1.0)
+    active = np.ones(quad.node_count, dtype=bool)
+    if include is not None:
+        active &= np.asarray(include, dtype=bool)
+    cells = units[active]
+    ends = cells[:, [1, 2, 0]]
+    value = float(_arc_terms(e, cells.reshape(-1, 3), ends.reshape(-1, 3), top).sum())
+    # -x lies in the cell it is furthest inside of, by the planes of the edges
+    depth = np.vecdot(-e, np.cross(units, units[:, [1, 2, 0]])).min(axis=1)
+    if active[np.argmax(depth)]:
+        value += 2.0 * np.pi * top
     return value
+
+
+def _arc_terms(e, a, b, top):
+    """Integral of min(sin(Phi/2), top) dpsi along each great-circle arc a -> b.
+
+    (Phi, psi) are polar coordinates about the unit vector e, psi turning
+    about e. With n the arc's pole, sigma = <e, n> = +-sin(delta), delta the
+    angle from e to the great circle, and s the position along it from its
+    point nearest e: cos Phi = cos(delta) cos(s) and dpsi = sigma ds /
+    (1 - cos^2(delta) cos^2(s)). That peaks at s = 0 and s = pi when delta
+    is small, so within pi/4 of either the variable is u, tan s =
+    sin(delta) sinh u, which gives dpsi = +-du / cosh u (the hull edges'
+    rule, `_hull_halpha`); elsewhere it is s. Pieces also break at the kink
+    Phi = Phi_r, where sin(Phi_r/2) = top. Arcs whose great circle passes
+    through e (sigma = 0) sweep no angle.
+    """
+    m = np.cross(a, b)
+    sm = np.sqrt(np.vecdot(m, m))
+    n = m / sm[:, None]
+    sigma = n @ e
+    live = np.abs(sigma) > 1e-200
+    a, b, n, sm, sigma = a[live], b[live], n[live], sm[live], sigma[live]
+    sd = np.abs(sigma)
+    c = np.sqrt(np.vecdot(e - sigma[:, None] * n, e - sigma[:, None] * n))
+    start = np.arctan2(np.vecdot(a, np.cross(n, e)), a @ e)
+    end = start + np.arctan2(sm, np.vecdot(a, b))
+    kink = np.arccos(np.clip((1.0 - 2.0 * top * top) / np.maximum(c, 1e-300), -1.0, 1.0))
+    quarters = np.broadcast_to(np.arange(-3, 8, 2) * (0.25 * np.pi), (len(c), 6))
+    kinks = np.stack([-kink, kink, 2.0 * np.pi - kink], axis=1)
+    breaks = np.concatenate([quarters, kinks], axis=1)
+    cuts = np.sort(np.clip(breaks, start[:, None], end[:, None]), axis=1)
+    cuts = np.concatenate([start[:, None], cuts, end[:, None]], axis=1)
+    lo, hi = cuts[:, :-1].ravel(), cuts[:, 1:].ravel()
+    arc = np.repeat(np.arange(len(c)), cuts.shape[1] - 1)
+    keep = hi > lo
+    lo, hi, arc = lo[keep], hi[keep], arc[keep]
+    turn = np.round(0.5 * (lo + hi) / np.pi)
+    near = np.abs(0.5 * (lo + hi) - turn * np.pi) <= 0.25 * np.pi
+    # away from e and -e, in s
+    panel, half, s = _panels(lo[~near], hi[~near])
+    i = arc[~near][panel]
+    cs = c[i, None] * np.cos(s)
+    g = sd[i, None] * np.minimum(np.sqrt(0.5 * (1.0 - cs)), top) / (1.0 - cs * cs)
+    total = np.zeros(len(c))
+    total += np.bincount(i, half * (g @ EDGE_WEIGHTS), len(c))
+    # near e (even turns) and -e (odd turns), in u
+    i, turn = arc[near], turn[near]
+    lo, hi = (np.arcsinh(np.tan(t[near] - turn * np.pi) / sd[i]) for t in (lo, hi))
+    panel, half, u = _panels(lo, hi)
+    i, antipode = i[panel], (turn[panel] % 2 == 1)[:, None]
+    cc, sdi = c[i, None], sd[i, None]
+    # near e, sin(Phi/2) / cosh u = sin(delta) / sqrt(2 r (r + cos(delta))),
+    # r = sqrt(1 + sin^2(delta) sinh^2 u); near -e, sin^2(Phi/2) = (r + cos(delta)) / 2r
+    r = np.sqrt(1.0 + (sdi * np.sinh(u)) ** 2)
+    ch = np.cosh(u)
+    f = np.where(antipode, np.sqrt((r + cc) / (2.0 * r)) / ch, sdi / np.sqrt(2.0 * r * (r + cc)))
+    total += np.bincount(i, half * (np.minimum(f, top / ch) @ EDGE_WEIGHTS), len(c))
+    return np.sign(sigma) * total
 
 
 def _polygon_angle(quad, x, include, within):

@@ -324,69 +324,6 @@ def test_spherical_triangle_areas_keep_accuracy_on_tiny_triangles():
     assert np.max(np.abs(got / want - 1.0)) <= 4e-15
 
 
-def _stack_refine_towards(quad, i, x, ratio=0.4, max_depth=16):
-    """Reference: one cell at a time on a stack, last child popped first."""
-    body = quad.body
-    sphere = isinstance(body, Ball)
-    c0 = np.asarray(quad.patches[i], dtype=float)
-    if sphere:
-        c0 = (c0 - body.center) / body.radius
-    pts, nrms, wts = [], [], []
-    stack = [(c0, 0)]
-    while stack:
-        c, depth = stack.pop()
-        ctr = c.mean(axis=0)
-        if sphere:
-            ctr /= np.linalg.norm(ctr)
-            p = body.center + body.radius * ctr
-            scale = body.radius
-        else:
-            p, scale = ctr, 1.0
-        diam = scale * max(
-            np.linalg.norm(c[0] - c[1]), np.linalg.norm(c[1] - c[2]), np.linalg.norm(c[2] - c[0])
-        )
-        if depth < max_depth and diam > ratio * np.linalg.norm(p - x):
-            if sphere:
-                m01, m12, m20 = c[0] + c[1], c[1] + c[2], c[2] + c[0]
-                m01, m12, m20 = (m / np.linalg.norm(m) for m in (m01, m12, m20))
-            else:
-                m01, m12, m20 = (c[0] + c[1]) / 2, (c[1] + c[2]) / 2, (c[2] + c[0]) / 2
-            stack.append((np.array([c[0], m01, m20]), depth + 1))
-            stack.append((np.array([c[1], m12, m01]), depth + 1))
-            stack.append((np.array([c[2], m20, m12]), depth + 1))
-            stack.append((np.array([m01, m12, m20]), depth + 1))
-        elif sphere:
-            pts.append(p)
-            nrms.append(ctr)
-            wts.append(body.radius**2 * float(
-                spherical_triangle_areas(c[0][None], c[1][None], c[2][None])[0]))
-        else:
-            pts.append(ctr)
-            nrms.append(quad.normals[i])
-            wts.append(0.5 * np.linalg.norm(np.cross(c[1] - c[0], c[2] - c[0])))
-    return np.array(pts), np.array(nrms), np.array(wts)
-
-
-@pytest.mark.parametrize("name", ["icosa", "cube", "ball3d"])
-def test_refine_towards_matches_the_depth_first_stack(name):
-    quad = surface_quadrature(load_fixture(name), 200)
-    rng = np.random.default_rng(6)
-    cases = 0
-    for i in rng.integers(0, quad.node_count, 4):
-        i = int(i)
-        near = quad.points[i] + 0.3 * (quad.patches[i][0] - quad.points[i])
-        neighbour = quad.points[int(np.argsort(np.linalg.norm(quad.points - quad.points[i], axis=1))[1])]
-        far = quad.points[int(rng.integers(quad.node_count))]
-        for x in (near, neighbour, far):
-            for max_depth in (16, 3):
-                got = quad.refine_towards(i, x, max_depth=max_depth)
-                want = _stack_refine_towards(quad, i, x, max_depth=max_depth)
-                for g, w in zip(got, want):
-                    assert _bit_equal(g, w)
-                cases += len(want[2]) > 1
-    assert cases > 0  # the near points did split their cells
-
-
 # ---------------------------------------------------------------------------
 # surface node sets
 

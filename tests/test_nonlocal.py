@@ -9,6 +9,7 @@ from fracgeo.geometry import (
     Hull3D,
     NodeSubset,
     ParamError,
+    SurfaceQuadrature,
     make_body,
     sphere_cap_measure,
     surface_quadrature,
@@ -25,6 +26,7 @@ from fracgeo.nonlocal_ops import (
     tail_integral,
 )
 from fracgeo.fixtures import FIXTURE_NAMES, load_fixture
+from fracgeo.icosphere import sphere_cells, split4
 from fracgeo.inequalities import corpus
 from fracgeo.inequalities.corpus import rectangle
 from fracgeo.inequalities.suite import PROFILES
@@ -332,7 +334,7 @@ def test_boundary_matches_chord_on_ball3d():
     quad = surface_quadrature(ball, 320)
     chord = halpha_chord(ball, quad.points[17], 0.5, normal=quad.normals[17]).value
     bnd = halpha_boundary(ball, quad, 17, 0.5)
-    assert bnd.value == pytest.approx(chord, rel=0.01)
+    assert bnd.value == pytest.approx(chord, rel=1e-12)
 
 
 @pytest.mark.parametrize("name", ["square", "thinrect", "ellipse"])
@@ -348,6 +350,28 @@ def test_boundary_equals_chord_on_polygons(name):
             chord = halpha_chord(body, quad.points[i], alpha).value
             bnd = halpha_boundary(body, quad, i, alpha).value
             assert bnd == pytest.approx(chord, rel=1e-13)
+
+
+def solid(name):
+    if name == "hull3d":
+        return corpus.random_hull3d(np.random.default_rng(5))
+    return load_fixture(name)
+
+
+SOLIDS = ["cube", "icosa", "hull3d", "ball3d"]
+
+
+@pytest.mark.parametrize("name", SOLIDS)
+def test_boundary_equals_chord_on_solids(name):
+    # the cells tile the surface, so their exact sum is the chord form's integral
+    body = solid(name)
+    quad = surface_quadrature(body, 320)
+    for alpha in EDGE_ALPHAS:
+        for i in range(quad.node_count):
+            chord = halpha_chord(body, quad.points[i], alpha, normal=quad.normals[i])
+            bnd = halpha_boundary(body, quad, i, alpha)
+            assert bnd.value == pytest.approx(chord.value, rel=1e-12)
+            assert bnd.estimated_error == chord.estimated_error
 
 
 def test_boundary_of_foreign_quadrature_rejected():
@@ -483,7 +507,14 @@ def test_double_layer_full_square():
 
 def test_double_layer_full_icosahedron():
     quad = surface_quadrature(load_fixture("icosa"), 80)
-    assert double_layer(quad, 0) == pytest.approx(2.0 * np.pi, rel=0.02)
+    assert double_layer(quad, 0) == pytest.approx(2.0 * np.pi, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["cube", "icosa", "ball3d"])
+def test_solid_double_layer_is_half_the_sphere_at_every_node(name):
+    quad = surface_quadrature(load_fixture(name), 1280)
+    values = np.array([double_layer(quad, i) for i in range(quad.node_count)])
+    assert np.max(np.abs(values - 2.0 * np.pi)) <= 1e-12 * 2.0 * np.pi
 
 
 def test_polygon_double_layer_is_exact_across_seeds():
@@ -511,6 +542,103 @@ def test_polygon_angle_within_radius_plus_cap_is_half_circle(body):
             near = double_layer(quad, i, within=radius)
             cap = sphere_cap_measure(body, x, radius) / radius
             assert near + cap == pytest.approx(np.pi, abs=1e-11)
+
+
+@pytest.mark.parametrize("name", SOLIDS)
+def test_solid_angle_within_radius_plus_cap_is_half_the_sphere(name):
+    body = solid(name)
+    quad = surface_quadrature(body, 320)
+    for i in (0, 5, 17, 40):
+        x = quad.points[i]
+        for radius in (1e-4, 0.05, 0.3, 0.7, 1.2, 2.5, 3.0):
+            near = double_layer(quad, i, within=radius)
+            cap = sphere_cap_measure(body, x, radius) / radius**2
+            assert near + cap == pytest.approx(2.0 * np.pi, abs=1e-11)
+
+
+@pytest.mark.parametrize("name", SOLIDS)
+def test_double_layer_of_a_subset_and_its_complement_add_up(name):
+    quad = surface_quadrature(solid(name), 320)
+    rng = np.random.default_rng(8)
+    for i in rng.integers(0, quad.node_count, 4):
+        mask = rng.random(quad.node_count) < 0.5
+        mask[i] = bool(rng.integers(2))  # x's own cell on either side
+        subset = NodeSubset(quad, mask)
+        for within in (None, 0.4, 1.1):
+            full = double_layer(quad, int(i), within=within)
+            parts = (double_layer(quad, int(i), subset=part, within=within)
+                     for part in (subset, ~subset))
+            assert sum(parts) == pytest.approx(full, abs=1e-12)
+
+
+def _midpoint_double_layer(body, x, corners, levels):
+    """Midpoint sum of the kernel over a cell split `levels` times."""
+    if isinstance(body, Ball):
+        tris = _split4_levels((corners - body.center) / body.radius, levels, True)
+        bary, solid_angles = sphere_cells(tris)
+        pts, nrms, w = body.center + body.radius * bary, bary, body.radius**2 * solid_angles
+    else:
+        tris = _split4_levels(corners, levels, False)
+        cr = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
+        pts, w = tris.mean(axis=1), 0.5 * np.linalg.norm(cr, axis=1)
+        nrms = cr / (2.0 * w[:, None])
+    diff = pts - x
+    return float(np.sum(w * np.vecdot(diff, nrms) / np.linalg.norm(diff, axis=1) ** 3))
+
+
+def _split4_levels(tris, levels, sphere):
+    tris = np.asarray(tris, dtype=float)[None]
+    for _ in range(levels):
+        tris = split4(tris, sphere)
+    return tris
+
+
+@pytest.mark.parametrize("name", ["icosa", "ball3d"])
+def test_one_cell_double_layer_matches_a_deep_midpoint_sum(name):
+    # cells two spacings or more from x: the midpoint sums at depth 5 and 6,
+    # extrapolated in h^2, are good to about 1e-9 there
+    body = load_fixture(name)
+    quad = surface_quadrature(body, 320)
+    x = quad.points[17]
+    dist = np.linalg.norm(quad.points - x, axis=1)
+    far = np.nonzero(dist >= 2.0 * quad.spacings.max())[0]
+    picks = far[np.argsort(dist[far])][[0, 1, 5, 40, 120, -1]]
+    for j in picks:
+        mask = np.zeros(quad.node_count, dtype=bool)
+        mask[j] = True
+        got = double_layer(quad, 17, subset=NodeSubset(quad, mask))
+        coarse, fine = (_midpoint_double_layer(body, x, quad.patches[j], k) for k in (5, 6))
+        assert got == pytest.approx((4.0 * fine - coarse) / 3.0, rel=1e-8)
+
+
+def _moved_quadrature(quad, rot, shift, lam):
+    """The node set of quad, turned by rot, scaled by lam and shifted."""
+    body = quad.body
+    if isinstance(body, Ball):
+        moved = Ball(3, lam * rot @ body.center + shift, lam * body.radius)
+    else:
+        moved = Hull3D(lam * body.vertices @ rot.T + shift, body.faces)
+    return SurfaceQuadrature(
+        moved, lam * quad.points @ rot.T + shift, quad.normals @ rot.T,
+        lam**2 * quad.weights, quad.facet_ids, lam * quad.spacings,
+        lam * quad.patches @ rot.T + shift,
+    )
+
+
+@pytest.mark.parametrize("name", SOLIDS)
+def test_double_layer_is_invariant_under_motions_and_dilation(name):
+    quad = surface_quadrature(solid(name), 320)
+    rng = np.random.default_rng(23)
+    rot, shift = random_rotation(rng), np.array([0.25, -0.5, 0.125])
+    for lam in (1.0, 0.37, 2.9):
+        moved = _moved_quadrature(quad, rot, shift, lam)
+        for i in rng.integers(0, quad.node_count, 3):
+            mask = rng.random(quad.node_count) < 0.5
+            for within in (None, 0.3, 0.9):
+                base = double_layer(quad, int(i), subset=NodeSubset(quad, mask), within=within)
+                got = double_layer(moved, int(i), subset=NodeSubset(moved, mask),
+                                   within=None if within is None else lam * within)
+                assert got == pytest.approx(base, rel=1e-12, abs=1e-13)
 
 
 def test_double_layer_monotone_in_region():
