@@ -25,6 +25,7 @@ from .geometry import (
     GeometryError,
     Polygon2D,
     RAY_EPSILON,
+    _vertex_diameter,
 )
 from .nonlocal_ops import clipped_chord_sum
 from .quadrature import graded_half_rule, graded_interval
@@ -479,18 +480,13 @@ def check_decay_and_bounds(trace: FlowTrace, slope_floor: float = 0.05):
     t_star = trace.t_star_num
     if t_star is not None:
         first = trace.states[0]
-        d0 = _marker_diameter(first.markers)
+        d0 = _vertex_diameter(first.markers)
         report.details["t_star"] = t_star
         report.details["t_star_over_perimeter_power"] = t_star / first.perimeter ** (
             1.0 + trace.alpha
         )
         report.details["t_star_over_diameter_power"] = t_star / d0 ** (1.0 + trace.alpha)
     return report
-
-
-def _marker_diameter(markers: np.ndarray) -> float:
-    d = markers[:, None, :] - markers[None, :, :]
-    return float(np.sqrt((d * d).sum(axis=2)).max())
 
 
 def write_trace_csv(trace: FlowTrace, path) -> None:

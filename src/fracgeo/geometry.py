@@ -113,6 +113,12 @@ def _store(body, **arrays):
         object.__setattr__(body, name, a)
 
 
+def _vertex_diameter(v: np.ndarray) -> float:
+    """Largest distance between two of the points, over all pairs."""
+    d = v[:, None, :] - v[None, :, :]
+    return float(np.sqrt((d * d).sum(axis=2)).max())
+
+
 @dataclass(frozen=True)
 class Polygon2D:
     """Strictly convex planar polygon, vertices in counter-clockwise order."""
@@ -130,6 +136,7 @@ class Polygon2D:
         nrm = nrm / np.linalg.norm(nrm, axis=1, keepdims=True)
         _store(self, vertices=v, _edges=e, _edge_lengths=np.linalg.norm(e, axis=1),
                _normals=nrm, _offsets=np.einsum("ij,ij->i", nrm, v))
+        object.__setattr__(self, "_diameter", _vertex_diameter(v))
 
     @property
     def edge_count(self) -> int:
@@ -160,8 +167,7 @@ class Polygon2D:
         return float(0.5 * np.sum(v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]))
 
     def diameter(self) -> float:
-        d = self.vertices[:, None, :] - self.vertices[None, :, :]
-        return float(np.sqrt((d * d).sum(axis=2)).max())
+        return self._diameter
 
     def contains(self, points) -> np.ndarray:
         points = np.asarray(points, dtype=float)
@@ -196,6 +202,7 @@ class Hull3D:
                _normals=nrm, _areas=0.5 * np.linalg.norm(cr, axis=1),
                _offsets=np.einsum("ij,ij->i", nrm, c[:, 0]), _edge_lengths=lengths,
                _tangents=tangents, _inward=np.cross(nrm[:, None], tangents))
+        object.__setattr__(self, "_diameter", _vertex_diameter(v))
 
     @property
     def face_corners(self) -> np.ndarray:
@@ -240,8 +247,7 @@ class Hull3D:
         )
 
     def diameter(self) -> float:
-        d = self.vertices[:, None, :] - self.vertices[None, :, :]
-        return float(np.sqrt((d * d).sum(axis=2)).max())
+        return self._diameter
 
     def contains(self, points) -> np.ndarray:
         points = np.asarray(points, dtype=float)

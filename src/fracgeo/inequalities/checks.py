@@ -112,14 +112,15 @@ def check_curvature_interpolation(
     x_index: int,
     alpha: float,
     rel_tolerance: float = 0.02,
-    halpha_value: Optional[float] = None,
 ) -> InequalityReport:
-    """Region's solid angle is controlled by its measure and the curvature."""
+    """Region's solid angle is controlled by its measure and the curvature.
+
+    The curvature is the body's chord form at the node.
+    """
     lhs = double_layer(quad, x_index, subset=subset)
-    if halpha_value is None:
-        halpha_value = halpha_chord(
-            body, quad.points[x_index], alpha, normal=quad.normals[x_index]
-        ).value
+    halpha_value = halpha_chord(
+        body, quad.points[x_index], alpha, normal=quad.normals[x_index]
+    ).value
     n = body.n
     rhs = subset.measure ** (alpha / (n + alpha)) * halpha_value ** (n / (n + alpha))
     return bound_report(
@@ -223,19 +224,16 @@ def check_reverse_isoperimetric(
     radius: float,
     constant: float,
     rel_tolerance: float = 0.0,
-    measures: Optional[tuple[float, float]] = None,
 ) -> InequalityReport:
     """Ball split volumes are controlled by the sphere cap inside the body.
 
-    `measures` is the (volume inside, cap) pair of an earlier report on the
-    same instance, which refitting the constant reuses.
+    rhs is constant * cap, so a run with constant 1.0 can be refitted by
+    `fit_constant` without measuring the instance again.
     """
     n = body.n
     x = quad.points[x_index]
-    if measures is None:
-        cap = sphere_cap_measure(body, x, radius)
-        measures = ball_intersection_volume(body, x, radius, cap), cap
-    vol_in, cap = measures
+    cap = sphere_cap_measure(body, x, radius)
+    vol_in = ball_intersection_volume(body, x, radius, cap)
     vol_out = max(body.area() - vol_in, 0.0)
     lhs = min(vol_in, vol_out) ** (n / (n + 1.0))
     rhs = constant * cap
@@ -333,26 +331,23 @@ def check_pointwise_subset(
     constant: float,
     c_split: float,
     rel_tolerance: float = 0.0,
-    halpha_value: Optional[float] = None,
-    body: Optional[ConvexBody] = None,
 ) -> InequalityReport:
     """Subset measure is controlled by its tail plus a curvature power.
 
-    Also classifies which density branch of the underlying dichotomy the
+    The curvature is the chord form of `quad.body` at the node. Also
+    classifies which density branch of the underlying dichotomy the
     instance falls into, from the patch densities at the matched radius and
     its jumped-up multiple.
     """
     n = quad.n
     sp = s * p
-    body = body or quad.body
     x = quad.points[x_index]
     measure = subset.measure
     lhs = measure ** (-sp / n)
     tail = tail_integral(quad, x_index, subset, sp)
-    if halpha_value is None:
-        halpha_value = halpha_chord(
-            body, x, alpha, normal=quad.normals[x_index]
-        ).value
+    halpha_value = halpha_chord(
+        quad.body, x, alpha, normal=quad.normals[x_index]
+    ).value
     rhs = constant * (tail + halpha_value ** (sp / alpha))
     delta, big_t = dichotomy_constants(n, c_split)
     r = matching_radius(quad, x, measure)
@@ -409,10 +404,10 @@ def flat_tail_sum(n: int, alpha: float, h: float, cells: np.ndarray, x_cell) -> 
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
     gcenters = (grid + 0.5) * h
     dist = np.linalg.norm(gcenters - x, axis=1)
-    in_ball = dist <= big_d
-    cell_set = {tuple(c) for c in cells}
-    member = np.array([tuple(c) in cell_set for c in grid])
-    outside = in_ball & ~member
+    # the set lies inside the box, and `grid` runs over it in C order
+    member = np.zeros(len(grid), dtype=bool)
+    member[np.ravel_multi_index((cells - base + span).T, (2 * span + 1,) * n)] = True
+    outside = (dist <= big_d) & ~member
     out_dist = dist[outside]
     # a single midpoint value misstates the kernel on cells bordering x;
     # composite the close ones on an 8-per-axis subgrid
@@ -424,11 +419,11 @@ def flat_tail_sum(n: int, alpha: float, h: float, cells: np.ndarray, x_cell) -> 
         local = np.stack(
             np.meshgrid(*([offs] * n), indexing="ij"), axis=-1
         ).reshape(-1, n)
-        subw = (h / sub) ** n
-        for c in grid[outside][near]:
-            pts = (c + local) * h
-            dd = np.linalg.norm(pts - x, axis=1)
-            discrete += float(np.sum(subw / dd ** (n + alpha)))
+        pts = (grid[outside][near][:, None, :] + local) * h
+        dd = np.linalg.norm(pts - x, axis=2)
+        # added one cell at a time, in grid order
+        for mass in np.sum((h / sub) ** n / dd ** (n + alpha), axis=1):
+            discrete += float(mass)
     analytic = SPHERE_MEASURE[n - 1] * big_d ** (-alpha) / alpha
     return discrete + analytic
 

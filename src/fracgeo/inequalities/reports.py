@@ -68,6 +68,37 @@ def bound_report(name, lhs, rhs, tolerance, **kw) -> InequalityReport:
     )
 
 
+def fit_constant(reports) -> tuple[list[InequalityReport], float]:
+    """Fit one constant over bound reports made with constant 1.0.
+
+    c is the largest lhs/rhs over reports with rhs > 1e-12, times 1 + 1e-9,
+    or 0.0 when there is none. Each report is reissued with rhs and
+    tolerance scaled by c. For a check whose rhs is constant * term and
+    whose tolerance is zero (the fitted checks' default), this is the report
+    that rerunning it with constant c gives, float for float, so every
+    instance is evaluated once.
+    """
+    c = max((r.lhs / r.rhs for r in reports if r.rhs > 1e-12), default=0.0)
+    c *= 1.0 + 1e-9
+    fitted = [
+        bound_report(
+            r.name,
+            r.lhs,
+            c * r.rhs,
+            c * r.tolerance,
+            constant_used=c,
+            constant_provenance=r.constant_provenance,
+            params=r.params,
+            resolution=r.resolution,
+            seed=r.seed,
+            estimated_error=r.estimated_error,
+            details=r.details,
+        )
+        for r in reports
+    ]
+    return fitted, c
+
+
 def identity_report(name, value, target, rel_tolerance, **kw) -> InequalityReport:
     """Report for an identity |value - target| <= rel_tolerance * |target|."""
     dev = abs(float(value) - float(target))

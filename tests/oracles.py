@@ -136,6 +136,42 @@ def brute_half_arc_tail(sp: float, count: int = 2400) -> float:
 
 
 # ---------------------------------------------------------------------------
+# grid sums
+
+
+def flat_tail_sum_per_cell(n: int, alpha: float, h: float, cells, x_cell) -> float:
+    """Complement kernel mass of a cell union, one grid cell at a time.
+
+    The per-cell loop that the vectorized `checks.flat_tail_sum` replaced:
+    membership by a set of tuples, and each cell within 4h of x summed on
+    its own 8-per-axis subgrid. Beyond a radius containing the set the
+    radial tail |S^(n-1)| D^(-alpha) / alpha is added in closed form.
+    """
+    cells = np.asarray(cells, dtype=int)
+    x = (np.asarray(x_cell, dtype=float) + 0.5) * h
+    far = float(np.linalg.norm((cells + 0.5) * h - x, axis=1).max())
+    big_d = max(4.0 * far, 16.0 * h)
+    span = int(np.ceil(big_d / h)) + 1
+    base = np.asarray(x_cell, dtype=int)
+    axes = [np.arange(base[k] - span, base[k] + span + 1) for k in range(n)]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    dist = np.linalg.norm((grid + 0.5) * h - x, axis=1)
+    cell_set = {tuple(c) for c in cells}
+    member = np.array([tuple(c) in cell_set for c in grid])
+    outside = (dist <= big_d) & ~member
+    out_dist = dist[outside]
+    near = out_dist <= 4.0 * h
+    total = float(np.sum(h**n / out_dist[~near] ** (n + alpha)))
+    offs = (np.arange(8) + 0.5) / 8
+    local = np.stack(np.meshgrid(*([offs] * n), indexing="ij"), axis=-1).reshape(-1, n)
+    for c in grid[outside][near]:
+        dd = np.linalg.norm((c + local) * h - x, axis=1)
+        total += float(np.sum((h / 8) ** n / dd ** (n + alpha)))
+    surface = {1: 2.0, 2: 2.0 * np.pi}[n]
+    return total + surface * big_d ** (-alpha) / alpha
+
+
+# ---------------------------------------------------------------------------
 # small fitting helpers
 
 

@@ -23,6 +23,7 @@ from fracgeo.geometry import Ball, NodeSubset, Params, make_body, surface_quadra
 from fracgeo.icosphere import icosahedron
 from fracgeo.inequalities import SlicingSequence, checks
 from fracgeo.inequalities import corpus
+from fracgeo.inequalities.reports import fit_constant
 from fracgeo.nonlocal_ops import ScalarField, halpha_boundary, halpha_chord
 from fracgeo.quadrature import sphere_rule
 
@@ -294,31 +295,29 @@ def _fitted_constants(named, scale):
         )
         inst.append((k, spec, body, quad, anchor, cap))
 
-    def split_rep(spec, body, quad, anchor, constant):
-        return checks.check_reverse_isoperimetric(
-            body, quad, anchor, spec["split_frac"] * body.diameter(), constant
+    # one evaluation per instance with constant 1.0, then one fit per bound
+    split, c_split = fit_constant([
+        checks.check_reverse_isoperimetric(
+            body, quad, anchor, spec["split_frac"] * body.diameter(), 1.0
         )
+        for k, spec, body, quad, anchor, cap in inst[:14]
+    ])
+    fitted = {"split": c_split}
+    passes = [rep.passed for rep in split]
 
-    c_split = 0.0
-    for k, spec, body, quad, anchor, cap in inst[:14]:
-        probe = split_rep(spec, body, quad, anchor, 1.0)
-        if probe.details["cap"] > 1e-12:
-            c_split = max(c_split, probe.lhs / probe.details["cap"])
-    c_split *= 1.0 + 1e-9
-
-    def subset_rep(spec, body, quad, anchor, cap, constant):
+    def subset_rep(spec, quad, anchor, cap):
         s, p = spec["sp"]
         return checks.check_pointwise_subset(
-            quad, cap, anchor, spec["alpha"], s, p, constant, c_split, body=body
+            quad, cap, anchor, spec["alpha"], s, p, 1.0, c_split
         )
 
-    def set_rep(spec, body, quad, cap, constant):
+    def set_rep(spec, body, quad, cap):
         hv = checks.halpha_at_nodes(body, quad, spec["alpha"], cache=hcache)
         return checks.check_set_sobolev(
-            quad, cap, Params(body.n, s=spec["sp"][0]), spec["alpha"], constant, hv
+            quad, cap, Params(body.n, s=spec["sp"][0]), spec["alpha"], 1.0, hv
         )
 
-    def fn_rep(spec, body, quad, anchor, constant):
+    def fn_rep(spec, body, quad, anchor):
         hv = checks.halpha_at_nodes(body, quad, spec["alpha"], cache=hcache)
         pts = quad.points
         diam = body.diameter()
@@ -332,24 +331,16 @@ def _fitted_constants(named, scale):
         s, p = spec["sp"]
         return checks.check_function_sobolev(
             ScalarField(quad, values), Params(body.n, s=s, p=p),
-            spec["alpha"], constant, hv,
+            spec["alpha"], 1.0, hv,
         )
 
-    fitted = {}
-    passes = []
     for key, rows, probe in (
-        ("subset", inst, lambda row, c: subset_rep(row[1], row[2], row[3], row[4], row[5], c)),
-        ("set", inst[:16], lambda row, c: set_rep(row[1], row[2], row[3], row[5], c)),
-        ("fn", inst[:8], lambda row, c: fn_rep(row[1], row[2], row[3], row[4], c)),
+        ("subset", inst, lambda row: subset_rep(row[1], row[3], row[4], row[5])),
+        ("set", inst[:16], lambda row: set_rep(row[1], row[2], row[3], row[5])),
+        ("fn", inst[:8], lambda row: fn_rep(row[1], row[2], row[3], row[4])),
     ):
-        ratio = max(probe(row, 1.0).lhs / probe(row, 1.0).rhs for row in rows)
-        fitted[key] = ratio * (1.0 + 1e-9)
-        passes.extend(probe(row, fitted[key]).passed for row in rows)
-    fitted["split"] = c_split
-    passes.extend(
-        split_rep(spec, body, quad, anchor, c_split).passed
-        for k, spec, body, quad, anchor, cap in inst[:14]
-    )
+        reports, fitted[key] = fit_constant([probe(row) for row in rows])
+        passes.extend(rep.passed for rep in reports)
     return fitted, all(passes)
 
 

@@ -347,6 +347,26 @@ def test_flat_subset_random_unions():
         assert rep.passed
 
 
+def test_flat_tail_sum_matches_the_per_cell_loop():
+    from fracgeo.inequalities.corpus import random_cell_union
+
+    cases = [
+        (n, alpha, h, checks.ball_cells(n, h, 1.0), np.zeros(n, dtype=int))
+        for n, h in ((1, 1.0 / 200.0), (2, 1.0 / 24.0))
+        for alpha in (0.25, 0.5, 0.75)
+    ]
+    rng = np.random.default_rng(61)
+    for n in (1, 2):
+        for k in range(5):
+            cells = random_cell_union(rng, n, 60)
+            x_cell = cells[int(rng.integers(len(cells)))]
+            cases.append((n, (0.25, 0.5, 0.75)[k % 3], 1.0, cells, x_cell))
+    for n, alpha, h, cells, x_cell in cases:
+        got = checks.flat_tail_sum(n, alpha, h, cells, x_cell)
+        ref = oracles.flat_tail_sum_per_cell(n, alpha, h, cells, x_cell)
+        assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # coarea
 
@@ -496,6 +516,45 @@ def test_set_sobolev_full_set_matches_function_form():
     )
     assert s_rep.lhs == pytest.approx(f_rep.lhs, rel=1e-12)
     assert s_rep.rhs == pytest.approx(f_rep.rhs, rel=1e-12)
+
+
+def test_fit_constant_equals_rerunning_with_the_fitted_constant():
+    from fracgeo.inequalities.reports import fit_constant
+
+    rng = np.random.default_rng(5)
+    quads = [
+        surface_quadrature(body, 96)
+        for body in (unit_disk(), regular_polygon(12), load_fixture("icosa"))
+    ]
+    runs = {}  # check -> [(args, keywords)], the constant passed by keyword
+    for k, quad in enumerate(quads):
+        body, alpha = quad.body, (0.25, 0.5, 0.75)[k]
+        hvals = checks.halpha_at_nodes(body, quad, alpha)
+        for s, p in ((0.5, 1.0), (0.25, 2.0)):
+            xi = int(rng.integers(quad.node_count))
+            subset = cap_subset(quad, xi, rng.uniform(0.3, 0.9) * body.diameter())
+            bump = np.exp(-np.linalg.norm(quad.points - quad.points[xi], axis=1) ** 2)
+            radius = rng.uniform(0.15, 0.45) * body.diameter()
+            for check, args, kw in (
+                (checks.check_reverse_isoperimetric, (body, quad, xi, radius), {}),
+                (checks.check_pointwise_subset, (quad, subset, xi, alpha, s, p),
+                 {"c_split": 0.7}),
+                (checks.check_set_sobolev, (quad, subset, Params(body.n, s=s), alpha),
+                 {"halpha_values": hvals}),
+                (checks.check_function_sobolev,
+                 (ScalarField(quad, bump), Params(body.n, s=s, p=p), alpha),
+                 {"halpha_values": hvals}),
+            ):
+                runs.setdefault(check, []).append((args, kw))
+    for check, calls in runs.items():
+        fitted, c = fit_constant([check(*a, constant=1.0, **kw) for a, kw in calls])
+        assert c > 0.0
+        for rep, (a, kw) in zip(fitted, calls):
+            again = check(*a, constant=c, **kw)
+            for attr in ("lhs", "rhs", "margin", "passed", "constant_used"):
+                assert getattr(rep, attr) == getattr(again, attr), (check, attr)
+            assert rep.passed
+    assert fit_constant([]) == ([], 0.0)
 
 
 # ---------------------------------------------------------------------------
