@@ -153,7 +153,6 @@ def _cmd_flow(args, emit: _Emitter) -> int:
         cfl=args.cfl,
         resample_every=args.resample_every,
         max_steps=args.max_steps,
-        rule_size=args.resolution,
     )
     trace = flow(body, args.alpha, options)
     stride = max(1, len(trace.states) // args.report_states)
@@ -232,8 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cfl", type=float, default=0.25)
     p.add_argument("--resample-every", type=int, default=5)
     p.add_argument("--max-steps", type=int, default=20000)
-    p.add_argument("--resolution", type=int, default=480,
-                   help="graded direction count per marker")
     p.add_argument("--report-states", type=int, default=40,
                    help="cap on per-state records emitted")
     p.add_argument("--csv", default=None, help="also write the full trace here")

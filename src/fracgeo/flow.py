@@ -30,6 +30,8 @@ from .geometry import (
 from .nonlocal_ops import clipped_chord_sum
 from .quadrature import graded_half_rule, graded_interval
 
+# graded directions per marker's chord sum
+RULE_SIZE = 480
 GAP_NODES = 24
 TURN_TOLERANCE = 1e-7  # weak convexity: collinear runs pass, real dents re-hull
 
@@ -63,7 +65,6 @@ class FlowOptions:
     eps_extinct: float = 1e-3
     resample_every: int = 5
     max_steps: int = 20000
-    rule_size: int = 480
 
     def __post_init__(self):
         if self.markers < 8:
@@ -141,7 +142,7 @@ def classical_curvature(markers: np.ndarray) -> np.ndarray:
     return turns / duals
 
 
-def marker_halpha(markers: np.ndarray, alpha: float, resolution: int = 480) -> np.ndarray:
+def marker_halpha(markers: np.ndarray, alpha: float) -> np.ndarray:
     """Reference per-marker curvature: one clipped chord sum per marker."""
     body = Polygon2D(np.asarray(markers, dtype=float))
     _, _, turns, bis, duals, _ = marker_frame(body.vertices)
@@ -150,7 +151,7 @@ def marker_halpha(markers: np.ndarray, alpha: float, resolution: int = 480) -> n
     for i in range(len(markers)):
         rosc = duals[i] / turns[i] if turns[i] > 1e-12 else np.inf
         out[i] = clipped_chord_sum(
-            body, body.vertices[i], bis[i], alpha, resolution,
+            body, body.vertices[i], bis[i], alpha, RULE_SIZE,
             gap_low=gaps[i], gap_high=gaps[i],
             osc_radius_low=rosc, osc_radius_high=rosc,
         )
@@ -168,9 +169,9 @@ class _MarkerEvaluator:
     <x_j - x_i, n_j> / (cos theta <t_i, n_j> - sin theta <b_i, n_j>).
     """
 
-    def __init__(self, alpha: float, resolution: int):
+    def __init__(self, alpha: float):
         self.alpha = alpha
-        rule = graded_half_rule(np.array([0.0, 1.0]), alpha, resolution)
+        rule = graded_half_rule(np.array([0.0, 1.0]), alpha, RULE_SIZE)
         self.thetas = rule.thetas
         self.cells = rule.cells
         self.widths = rule.weights
@@ -330,7 +331,7 @@ def flow(
     if frame[2].min() < -TURN_TOLERANCE:
         raise GeometryError("initial markers are not convex")
 
-    evaluate = _MarkerEvaluator(alpha, options.rule_size)
+    evaluate = _MarkerEvaluator(alpha)
     trace = FlowTrace(alpha=alpha, options=options)
     area0 = _shoelace(markers)
     t = 0.0

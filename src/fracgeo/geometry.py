@@ -420,18 +420,6 @@ def make_body(description: dict) -> ConvexBody:
     raise DegenerateError(f"unknown body type {kind!r}")
 
 
-def perimeter(body: ConvexBody) -> float:
-    return body.perimeter()
-
-
-def area(body: ConvexBody) -> float:
-    return body.area()
-
-
-def diameter(body: ConvexBody) -> float:
-    return body.diameter()
-
-
 # ---------------------------------------------------------------------------
 # surface node sets
 
@@ -441,12 +429,14 @@ class SurfaceQuadrature:
     """Node set on a body boundary: points, outward normals, weights, facets.
 
     `patches` stores each node's cell, to integrate over exactly or to
-    subdivide: segment endpoints for polygon edges, angle intervals for
-    circles, triangle corners for hull faces and sphere cells. `spacings` is
-    the cell diameter and drives near-pair thresholds. `matrices` holds the
-    read-only interaction matrices built on this node set, keyed by power
-    (see `nonlocal_ops.interaction_matrix`); it lives and dies with the
-    node set, so the arrays above must not change once one is built.
+    split (`split_cells`): segment endpoints for polygon edges, angle
+    intervals for circles, triangle corners for hull faces and sphere cells.
+    `spacings` is the cell diameter and drives near-pair thresholds.
+    `matrices` holds the read-only interaction matrices built on this node
+    set, keyed by power (`nonlocal_ops.interaction_matrix`), and
+    `curvatures` the read-only chord-form curvatures at its nodes, keyed by
+    alpha (`inequalities.checks.halpha_at_nodes`). Both live and die with
+    the node set, so the arrays above must not change once one is built.
     """
 
     body: ConvexBody
@@ -457,6 +447,7 @@ class SurfaceQuadrature:
     spacings: np.ndarray
     patches: np.ndarray = field(repr=False)
     matrices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    curvatures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def node_count(self) -> int:
@@ -469,60 +460,36 @@ class SurfaceQuadrature:
     def total_measure(self) -> float:
         return float(self.weights.sum())
 
-    def refine_node(self, i: int, levels: int = 1):
-        """Split node i's cell `levels` times; returns (points, normals, weights).
+    def split_cells(self, nodes):
+        """One 4-split of each listed node's cell; returns (points, weights).
 
-        Sub-cell weights sum exactly to the parent weight (planar splits are
-        exact quarters; spherical splits partition the solid angle).
+        Shaped (k, 4, dim) and (k, 4), a row per node. Sub-cell weights sum
+        exactly to the parent weight (planar splits are exact quarters;
+        spherical splits partition the solid angle).
         """
-        body = self.body
+        body, cells = self.body, self.patches[nodes]
+        mid = np.arange(4) + 0.5
         if isinstance(body, Polygon2D):
-            a, b = self.patches[i]
-            return _refine_segment(a, b, self.normals[i], 4**levels)
-        if isinstance(body, Ball) and body.dim == 2:
-            t0, t1 = self.patches[i]
-            return _refine_arc(body, t0, t1, 4**levels)
+            a, d = cells[:, 0], cells[:, 1] - cells[:, 0]
+            t = mid[:, None] / 4
+            return a[:, None] + t * d[:, None], np.repeat(_norms(d)[:, None] / 4, 4, 1)
+        if body.n == 1:
+            t0, t1 = cells[:, :1], cells[:, 1:]
+            t = t0 + (t1 - t0) * mid / 4
+            dirs = np.stack([np.cos(t), np.sin(t)], axis=-1)
+            return body.center + body.radius * dirs, np.repeat(body.radius * (t1 - t0) / 4, 4, 1)
         if isinstance(body, Hull3D):
-            return _refine_planar_triangle(self.patches[i], self.normals[i], levels)
-        return _refine_sphere_triangle(body, self.patches[i], levels)
+            pts, w = _planar_cells(split4(cells))
+        else:
+            bary, solid = sphere_cells(split4((cells - body.center) / body.radius, True))
+            pts, w = body.center + body.radius * bary, body.radius**2 * solid
+        return pts.reshape(len(cells), 4, 3), w.reshape(len(cells), 4)
 
 
-def _refine_segment(a, b, normal, parts):
-    t = (np.arange(parts) + 0.5) / parts
-    pts = a + np.outer(t, b - a)
-    w = np.full(parts, np.linalg.norm(b - a) / parts)
-    return pts, np.tile(normal, (parts, 1)), w
-
-
-def _refine_arc(ball, t0, t1, parts):
-    t = t0 + (t1 - t0) * (np.arange(parts) + 0.5) / parts
-    dirs = np.stack([np.cos(t), np.sin(t)], axis=1)
-    pts = ball.center + ball.radius * dirs
-    w = np.full(parts, ball.radius * (t1 - t0) / parts)
-    return pts, dirs, w
-
-
-def _refine_planar_triangle(corners, normal, levels):
-    tris = _split_levels(np.asarray(corners)[None], levels)
-    return _planar_cells(tris, np.asarray(normal)[None], 4**levels)
-
-
-def _planar_cells(tris, normals, repeat):
-    """Barycenters, normals (each repeated `repeat` times) and areas."""
+def _planar_cells(tris):
+    """Barycenters and areas of flat triangles."""
     cr = np.cross(tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0])
-    return tris.mean(axis=1), np.repeat(normals, repeat, axis=0), 0.5 * np.linalg.norm(cr, axis=1)
-
-
-def _refine_sphere_triangle(ball, corners, levels):
-    units = _split_levels((np.asarray(corners)[None] - ball.center) / ball.radius, levels, True)
-    bary, solid = sphere_cells(units)
-    return ball.center + ball.radius * bary, bary, ball.radius**2 * solid
-
-
-def _split_levels(tris, levels, sphere=False):
-    for _ in range(levels):
-        tris = split4(tris, sphere)
-    return tris
+    return tris.mean(axis=1), 0.5 * np.linalg.norm(cr, axis=1)
 
 
 def _norms(v):
@@ -596,15 +563,15 @@ def surface_quadrature(body: ConvexBody, resolution: int) -> SurfaceQuadrature:
         nfaces = len(body.faces)
         if resolution < nfaces:
             raise ResolutionTooLowError(f"need at least one node per face ({nfaces})")
-        level = 0
+        level, tris = 0, body.face_corners
         while nfaces * 4**level < resolution:
             level += 1
-        tris = _split_levels(body.face_corners, level)
-        pts, nrms, wts = _planar_cells(tris, body.facet_normals, 4**level)
+            tris = split4(tris)
+        pts, wts = _planar_cells(tris)
         return SurfaceQuadrature(
             body,
             pts,
-            nrms,
+            np.repeat(body.facet_normals, 4**level, axis=0),
             wts,
             np.repeat(np.arange(nfaces), 4**level),
             _triangle_diameters(tris),

@@ -10,8 +10,6 @@ records which kind it used.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..geometry import (
@@ -54,25 +52,18 @@ def pointwise_constant(n: int, alpha: float) -> float:
     return (2.0 / SPHERE_MEASURE[n]) ** ((n + alpha) / n)
 
 
-def halpha_at_nodes(
-    body: ConvexBody,
-    quad: SurfaceQuadrature,
-    alpha: float,
-    cache: Optional[dict] = None,
-) -> np.ndarray:
+def halpha_at_nodes(quad: SurfaceQuadrature, alpha: float) -> np.ndarray:
     """Chord-form curvature at every node, in one batched pass.
 
-    Memoized per (quadrature, alpha).
+    Built once per alpha and kept in `quad.curvatures`, so every call on the
+    same node set returns the same read-only array.
     """
-    key = (id(quad), float(alpha))
-    if cache is not None and key in cache:
-        return cache[key][1]
-    vals = _chord_values(body, quad.points, alpha)[0]
-    if cache is not None:
-        # the quad rides along so its id cannot be recycled under this key
-        # while the entry is alive
-        cache[key] = (quad, vals)
-    return vals
+    key = float(alpha)
+    if key not in quad.curvatures:
+        vals = _chord_values(quad.body, quad.points, alpha)[0]
+        vals.setflags(write=False)
+        quad.curvatures[key] = vals
+    return quad.curvatures[key]
 
 
 # ---------------------------------------------------------------------------
@@ -137,16 +128,13 @@ def check_curvature_interpolation(
 
 
 def check_pointwise_global(
-    body: ConvexBody,
-    quad: SurfaceQuadrature,
-    alpha: float,
-    cache: Optional[dict] = None,
+    body: ConvexBody, quad: SurfaceQuadrature, alpha: float
 ) -> InequalityReport:
     """Strict lower curvature bound by the total surface measure, all nodes."""
     n = body.n
     constant = pointwise_constant(n, alpha)
     lhs = body.perimeter() ** (-alpha / n)
-    values = halpha_at_nodes(body, quad, alpha, cache=cache)
+    values = halpha_at_nodes(quad, alpha)
     scaled = constant * values
     worst = int(np.argmin(scaled))
     rhs = float(scaled.min())
@@ -164,16 +152,12 @@ def check_pointwise_global(
 
 
 def check_integral_bound(
-    body: ConvexBody,
-    quad: SurfaceQuadrature,
-    alpha: float,
-    s: float,
-    cache: Optional[dict] = None,
+    body: ConvexBody, quad: SurfaceQuadrature, alpha: float, s: float
 ) -> InequalityReport:
     """Integrated curvature power dominates a surface-measure power."""
     n = body.n
     constant = pointwise_constant(n, alpha)
-    values = halpha_at_nodes(body, quad, alpha, cache=cache)
+    values = halpha_at_nodes(quad, alpha)
     lhs = constant ** (-s / alpha) * body.perimeter() ** ((n - s) / n)
     rhs = float(np.sum(quad.weights * values ** (s / alpha)))
     return bound_report(
@@ -223,7 +207,6 @@ def check_reverse_isoperimetric(
     x_index: int,
     radius: float,
     constant: float,
-    rel_tolerance: float = 0.0,
 ) -> InequalityReport:
     """Ball split volumes are controlled by the sphere cap inside the body.
 
@@ -241,7 +224,7 @@ def check_reverse_isoperimetric(
         "ball-split-isoperimetric",
         lhs,
         rhs,
-        rel_tolerance * max(rhs, 1e-300),
+        0.0,
         constant_used=constant,
         constant_provenance="fitted",
         params={"n": n},
@@ -330,7 +313,6 @@ def check_pointwise_subset(
     p: float,
     constant: float,
     c_split: float,
-    rel_tolerance: float = 0.0,
 ) -> InequalityReport:
     """Subset measure is controlled by its tail plus a curvature power.
 
@@ -363,7 +345,7 @@ def check_pointwise_subset(
         "subset-tail-curvature-bound",
         lhs,
         rhs,
-        rel_tolerance * max(rhs, 1e-300),
+        0.0,
         constant_used=constant,
         constant_provenance="fitted",
         params={"n": n, "alpha": alpha, "s": s, "p": p},
@@ -572,7 +554,6 @@ def check_set_sobolev(
     alpha: float,
     constant: float,
     halpha_values: np.ndarray,
-    rel_tolerance: float = 0.0,
 ) -> InequalityReport:
     """Set-measure power bounded by fractional perimeter plus curvature mass."""
     n, s = params.n, params.s
@@ -587,7 +568,7 @@ def check_set_sobolev(
         "set-measure-sobolev",
         lhs,
         rhs,
-        rel_tolerance * max(rhs, 1e-300),
+        0.0,
         constant_used=constant,
         constant_provenance="fitted",
         params={"n": n, "alpha": alpha, "s": s},
@@ -602,7 +583,6 @@ def check_function_sobolev(
     alpha: float,
     constant: float,
     halpha_values: np.ndarray,
-    rel_tolerance: float = 0.0,
 ) -> InequalityReport:
     """Critical norm of a field bounded by energy plus weighted curvature."""
     quad = field.quadrature
@@ -617,7 +597,7 @@ def check_function_sobolev(
         "function-norm-sobolev",
         lhs,
         rhs,
-        rel_tolerance * max(rhs, 1e-300),
+        0.0,
         constant_used=constant,
         constant_provenance="fitted",
         params={"n": params.n, "alpha": alpha, "s": params.s, "p": p},

@@ -74,7 +74,7 @@ def fit_constant(reports) -> tuple[list[InequalityReport], float]:
     c is the largest lhs/rhs over reports with rhs > 1e-12, times 1 + 1e-9,
     or 0.0 when there is none. Each report is reissued with rhs and
     tolerance scaled by c. For a check whose rhs is constant * term and
-    whose tolerance is zero (the fitted checks' default), this is the report
+    whose tolerance is zero (as every fitted check's is), this is the report
     that rerunning it with constant c gives, float for float, so every
     instance is evaluated once.
     """

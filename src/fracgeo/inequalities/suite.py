@@ -64,7 +64,7 @@ def icosahedron_body():
 
 
 class _Context:
-    """Shared corpus, quadratures, and curvature cache for one suite run."""
+    """Shared corpus and quadratures for one suite run."""
 
     def __init__(self, seed: int, profile: str):
         if profile not in PROFILES:
@@ -73,7 +73,6 @@ class _Context:
         self.prof = PROFILES[profile]
         self.named = corpus.body_corpus(seed, self.prof["n1"], self.prof["n2"])
         self._quads: dict[int, object] = {}
-        self.hcache: dict = {}
 
     def body(self, i: int):
         return self.named[i % len(self.named)][1]
@@ -89,7 +88,8 @@ class _Context:
         return self._quads[i]
 
     def body_alpha(self, i: int) -> float:
-        # one alpha per body, shared by every section so the cache carries
+        # one alpha per body, shared by every section, so each node set's
+        # curvatures are computed once
         return ALPHAS[i % len(ALPHAS)]
 
 
@@ -145,7 +145,7 @@ def _run_curvature(ctx: _Context) -> list[InequalityReport]:
         alpha = ctx.body_alpha(i)
         out.append(
             _tag(
-                checks.check_pointwise_global(body, quad, alpha, cache=ctx.hcache),
+                checks.check_pointwise_global(body, quad, alpha),
                 seed,
                 name,
             )
@@ -153,7 +153,7 @@ def _run_curvature(ctx: _Context) -> list[InequalityReport]:
         s = ALPHAS[(i + 1) % 3]
         out.append(
             _tag(
-                checks.check_integral_bound(body, quad, alpha, s, cache=ctx.hcache),
+                checks.check_integral_bound(body, quad, alpha, s),
                 seed,
                 name,
             )
@@ -322,7 +322,7 @@ def _run_functional(ctx: _Context) -> list[InequalityReport]:
         anchor = int(rng.integers(quad.node_count))
         subset = corpus.random_subset(rng, quad, anchor)
         alpha = ctx.body_alpha(i)
-        hvals = checks.halpha_at_nodes(body, quad, alpha, cache=ctx.hcache)
+        hvals = checks.halpha_at_nodes(quad, alpha)
         rep = checks.check_set_sobolev(
             quad, subset, Params(body.n, s=ALPHAS[k % 3]), alpha, 1.0, hvals
         )
@@ -338,7 +338,7 @@ def _run_functional(ctx: _Context) -> list[InequalityReport]:
         values = corpus.field_values(rng, quad, kind)
         s, p = SP_GRID[k % len(SP_GRID)]
         alpha = ctx.body_alpha(i)
-        hvals = checks.halpha_at_nodes(body, quad, alpha, cache=ctx.hcache)
+        hvals = checks.halpha_at_nodes(quad, alpha)
         rep = checks.check_function_sobolev(
             ScalarField(quad, values), Params(body.n, s=s, p=p), alpha, 1.0, hvals
         )

@@ -108,7 +108,7 @@ def halpha_chord(
     """Curvature of order alpha by the chord form.
 
     Every body is integrated exactly: balls in closed form, polygons edge by
-    edge (`_planar_halpha`), hulls facet by facet (`_hull_halpha`). A point
+    edge (`_segment_shares`), hulls facet by facet (`_hull_halpha`). A point
     off the surface raises. Points within 1e-9 of a facet boundary return an
     overflow-flagged infinity, unless `normal` is given: a caller that knows
     the point's facet normal (a quadrature node's) vouches that it is a
@@ -127,12 +127,21 @@ def _chord_values(body: ConvexBody, points: np.ndarray, alpha: float):
     """Chord form and its error estimate at many boundary points."""
     if isinstance(body, Hull3D):
         return _hull_halpha(body, points, alpha)
-    if isinstance(body, Ball) and body.n == 2:
-        value = 2.0 * np.pi * (2.0 * body.radius) ** (-alpha) / (1.0 - alpha)
-        values = np.full(len(points), value)
-    else:
-        values = np.array([_planar_halpha(body, x, alpha) for x in points])
-    return values, np.zeros(len(points))
+    if isinstance(body, Ball):
+        big = 2.0 * body.radius
+        if body.n == 2:
+            value = 2.0 * np.pi * big ** (-alpha) / (1.0 - alpha)
+        else:
+            value = big ** (-alpha) * beta(0.5 * (1.0 - alpha), 0.5)
+        return np.full(len(points), value), np.zeros(len(points))
+    # a polygon sums the shares of the edges x is not on (at a vertex,
+    # neither incident edge)
+    far = body.facet_offsets - points @ body.facet_normals.T > _on_surface_tol(body)
+    node, edge = np.nonzero(far)
+    ends = np.roll(body.vertices, -1, axis=0)
+    shares = _segment_shares(
+        points[node], body.vertices[edge], ends[edge], body.facet_normals[edge], alpha)
+    return np.bincount(node, shares, len(points)), np.zeros(len(points))
 
 
 def _hull_halpha(body: Hull3D, points: np.ndarray, alpha: float):
@@ -207,22 +216,9 @@ def _panels(lo, hi):
     return panel, half, mid[:, None] + half[:, None] * EDGE_NODES
 
 
-def _planar_halpha(body: ConvexBody, x: np.ndarray, alpha: float) -> float:
-    """Chord (equally, boundary) form on a planar body, in closed form.
-
-    A disk gives (2R)^(-alpha) B((1 - alpha)/2, 1/2); a polygon sums the
-    shares of the edges x is not on (at a vertex, neither incident edge).
-    """
-    if isinstance(body, Ball):
-        return float((2.0 * body.radius) ** (-alpha) * beta(0.5 * (1.0 - alpha), 0.5))
-    far = body.facet_offsets - body.facet_normals @ x > _on_surface_tol(body)
-    ends = np.roll(body.vertices, -1, axis=0)
-    shares = _segment_shares(x, body.vertices[far], ends[far], body.facet_normals[far], alpha)
-    return float(shares.sum())
-
-
 def _segment_shares(x, a, b, normals, alpha):
-    """h^(-alpha) times the integral of cos^alpha(psi) over each segment a -> b.
+    """h^(-alpha) times the integral of cos^alpha(psi) over each segment a -> b,
+    seen from x (one point, or one per segment).
 
     h = <nu, y - x>, s = <tau, y - x> with tau = (-nu_y, nu_x), psi = atan2(s, h):
     the chord along psi is h / cos(psi) and the boundary kernel is
@@ -549,8 +545,7 @@ def interaction_matrix(quad: SurfaceQuadrature, power: float) -> np.ndarray:
     np.fill_diagonal(mat, 0.0)
     if len(near_i):
         nodes, slot = np.unique(np.concatenate([near_i, near_j]), return_inverse=True)
-        parts = zip(*(quad.refine_node(int(i), 1) for i in nodes))
-        sub_pts, _, sub_w = (np.stack(arrays) for arrays in parts)
+        sub_pts, sub_w = quad.split_cells(nodes)
         a, b = slot[: len(near_i)], slot[len(near_i) :]
         d = np.linalg.norm(sub_pts[a][:, :, None, :] - sub_pts[b][:, None, :, :], axis=3)
         terms = sub_w[a][:, :, None] * sub_w[b][:, None, :] / d**power

@@ -7,7 +7,7 @@ the pair-refined interaction sums under test.
 """
 
 import numpy as np
-from scipy.special import beta
+from scipy.special import beta, betainc
 
 SPHERE_MEASURE = {1: 2.0 * np.pi, 2: 4.0 * np.pi}
 BALL_VOLUME = {1: 2.0, 2: np.pi, 3: 4.0 * np.pi / 3.0}
@@ -89,6 +89,80 @@ def flat_equality_constant(n: int, alpha: float) -> float:
     """
     surface = {1: 2.0, 2: 2.0 * np.pi}[n]
     return BALL_VOLUME[n] ** (-alpha / n) * alpha / surface
+
+
+def polygon_halpha(vertices, x, alpha: float) -> float:
+    """Chord form at a boundary point x of a convex polygon, one edge at a time.
+
+    An edge at height h below x, its ends at s0 < s1 along it from x's foot
+    point, adds h^-alpha times the integral of cos^alpha over the angles
+    atan(s/h) it spans, which is B(1/2, k)/2 times the difference of
+    sign(s) I_{s^2/(s^2+h^2)}(1/2, k) between its ends, k = (1 + alpha)/2.
+    An edge seen from one side at a grazing angle differences the
+    complements I_{h^2/(s^2+h^2)}(k, 1/2) instead. Edges through x add
+    nothing.
+    """
+    x = np.asarray(x, dtype=float)
+    k = 0.5 * (1.0 + alpha)
+    flat = 1e-9 * np.abs(vertices - x).max()
+    total = 0.0
+    for a, b in zip(vertices, np.roll(vertices, -1, axis=0)):
+        tau = (b - a) / np.linalg.norm(b - a)
+        nu = np.array([tau[1], -tau[0]])
+        s = np.array([tau @ (a - x), tau @ (b - x)])
+        # from the nearer end, so a small h keeps its relative accuracy
+        h = nu @ ((a, b)[int(np.argmin(np.abs(s)))] - x)
+        if h <= flat:
+            continue
+        r2 = s * s + h * h
+        if s[0] * s[1] > 0.0 and s[0] ** 2 + s[1] ** 2 > 2.0 * h * h:
+            prim = -np.sign(s) * betainc(k, 0.5, h * h / r2)
+        else:
+            prim = np.sign(s) * betainc(0.5, k, s * s / r2)
+        total += 0.5 * beta(0.5, k) * h ** (-alpha) * (prim[1] - prim[0])
+    return float(total)
+
+
+# ---------------------------------------------------------------------------
+# one 4-split of a node's cell, cell by cell
+
+# children of the corners c0, c1, c2 and edge midpoints m01, m12, m20
+CHILDREN = ((0, 3, 5), (1, 4, 3), (2, 5, 4), (3, 4, 5))
+
+
+def split_cell(quad, i):
+    """Points (4, dim) and weights (4,) of node i's cell split once into four.
+
+    Segments and arcs split into equal quarters. Triangles split at their
+    edge midpoints, projected to the sphere for sphere cells; each child is
+    its barycenter (projected too) with its flat area or its solid angle
+    (half-angle tangent formula) times R^2.
+    """
+    body, cell = quad.body, quad.patches[i]
+    if quad.n == 1 and body.is_polytope:
+        a, b = cell
+        t = (np.arange(4) + 0.5) / 4
+        return a + np.outer(t, b - a), np.full(4, np.linalg.norm(b - a) / 4)
+    if quad.n == 1:
+        t0, t1 = cell
+        t = t0 + (t1 - t0) * (np.arange(4) + 0.5) / 4
+        dirs = np.stack([np.cos(t), np.sin(t)], axis=1)
+        return body.center + body.radius * dirs, np.full(4, body.radius * (t1 - t0) / 4)
+    curved = not body.is_polytope
+    corners = list((cell - body.center) / body.radius if curved else cell)
+    for p, q in ((0, 1), (1, 2), (2, 0)):
+        m = corners[p] + corners[q]
+        corners.append(m / np.linalg.norm(m) if curved else m / 2.0)
+    tris = np.array([[corners[c] for c in child] for child in CHILDREN])
+    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+    bary = tris.mean(axis=1)
+    if not curved:
+        return bary, 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+    bary /= np.linalg.norm(bary, axis=1, keepdims=True)
+    num = np.abs(np.einsum("ij,ij->i", a, np.cross(b - a, c - a)))
+    den = 1.0 + np.einsum("ij,ij->i", a, b) + np.einsum("ij,ij->i", b, c)
+    den += np.einsum("ij,ij->i", c, a)
+    return body.center + body.radius * bary, body.radius**2 * (2.0 * np.arctan2(num, den))
 
 
 # ---------------------------------------------------------------------------

@@ -137,16 +137,13 @@ def test_criterion_03_curvature_cross_validation():
 
 def test_criterion_04_pointwise_and_integrated_bounds(corpus100):
     t0 = time.time()
-    cache = {}
     fails = 0
     worst_margin = np.inf
     for i, (name, body) in enumerate(corpus100):
         quad = surface_quadrature(body, BASE_RES[body.n])
         alpha = ALPHAS[i % 3]
-        point = checks.check_pointwise_global(body, quad, alpha, cache=cache)
-        integ = checks.check_integral_bound(
-            body, quad, alpha, ALPHAS[(i + 1) % 3], cache=cache
-        )
+        point = checks.check_pointwise_global(body, quad, alpha)
+        integ = checks.check_integral_bound(body, quad, alpha, ALPHAS[(i + 1) % 3])
         for rep in (point, integ):
             fails += 0 if rep.passed else 1
             worst_margin = min(worst_margin, rep.margin)
@@ -279,7 +276,7 @@ def _fitted_constants(named, scale):
             width_frac=rng.uniform(0.1, 0.4),
         ))
 
-    quads, hcache, inst = {}, {}, []
+    quads, inst = {}, []
     for k, spec in enumerate(specs):
         i = spec["i"]
         body = named[i][1]
@@ -312,13 +309,13 @@ def _fitted_constants(named, scale):
         )
 
     def set_rep(spec, body, quad, cap):
-        hv = checks.halpha_at_nodes(body, quad, spec["alpha"], cache=hcache)
+        hv = checks.halpha_at_nodes(quad, spec["alpha"])
         return checks.check_set_sobolev(
             quad, cap, Params(body.n, s=spec["sp"][0]), spec["alpha"], 1.0, hv
         )
 
     def fn_rep(spec, body, quad, anchor):
-        hv = checks.halpha_at_nodes(body, quad, spec["alpha"], cache=hcache)
+        hv = checks.halpha_at_nodes(quad, spec["alpha"])
         pts = quad.points
         diam = body.diameter()
         if spec["kind"] == "cosine":

@@ -117,6 +117,13 @@ def test_halpha_takes_no_direction_count():
     assert exc.value.code == 2
 
 
+def test_flow_takes_no_direction_count():
+    # every flow sizes its chord sums with the same graded rule
+    with pytest.raises(SystemExit) as exc:
+        main(["flow", "--body", "ball2d", "--resolution", "480"])
+    assert exc.value.code == 2
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

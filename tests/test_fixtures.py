@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fracgeo.fixtures import FIXTURE_NAMES, fixture_description, load_fixture
-from fracgeo.geometry import Ball, Hull3D, Polygon2D, perimeter
+from fracgeo.geometry import Ball, Hull3D, Polygon2D
 
 
 def test_names_are_stable():
@@ -16,7 +16,7 @@ def test_names_are_stable():
 def test_all_fixtures_load():
     for name in FIXTURE_NAMES:
         body = load_fixture(name)
-        assert perimeter(body) > 0
+        assert body.perimeter() > 0
 
 
 def test_unknown_name_raises():
@@ -46,7 +46,7 @@ def test_cube_triangulation_covers_unit_surface():
     cube = load_fixture("cube")
     assert isinstance(cube, Hull3D)
     assert len(cube.faces) == 12
-    assert perimeter(cube) == pytest.approx(6.0)
+    assert cube.perimeter() == pytest.approx(6.0)
 
 
 def test_icosa_has_unit_circumradius():

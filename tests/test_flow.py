@@ -184,9 +184,9 @@ def test_evaluator_matches_reference():
         sample_boundary(load_fixture("thinrect"), 64),  # collinear: no gap
     )
     for alpha in (0.1, 0.5, 0.75, 0.9):
-        ev = _MarkerEvaluator(alpha, 480)
+        ev = _MarkerEvaluator(alpha)
         for markers in marker_sets:
-            ref = marker_halpha(markers, alpha, 480)
+            ref = marker_halpha(markers, alpha)
             got = ev(markers)[0]
             assert np.abs(got - ref).max() < 1e-12 * ref.max()
 

@@ -355,11 +355,15 @@ def test_resolution_floor_is_enforced():
         surface_quadrature(unit_square(), 3)
 
 
-def test_refine_node_weights_partition_parent():
-    for body, res in ((unit_square(), 16), (unit_disk(), 32), (load_fixture("icosa"), 40)):
+def test_split_cells_weights_partition_parent():
+    for body, res in (
+        (unit_square(), 16), (unit_disk(), 32), (load_fixture("icosa"), 40),
+        (load_fixture("ball3d"), 80),
+    ):
         quad = surface_quadrature(body, res)
-        _, _, w = quad.refine_node(0, levels=1)
-        assert w.sum() == pytest.approx(quad.weights[0], rel=1e-9)
+        pts, w = quad.split_cells(np.arange(quad.node_count))
+        assert pts.shape == (quad.node_count, 4, body.dim)
+        np.testing.assert_allclose(w.sum(axis=1), quad.weights, rtol=1e-12)
 
 
 def test_convexity_node_pair_invariant():

@@ -13,7 +13,7 @@ from fracgeo.geometry import (
     ball_patch_measure,
     sphere_cap_measure,
 )
-from fracgeo.nonlocal_ops import ScalarField, frac_perimeter
+from fracgeo.nonlocal_ops import ScalarField, frac_perimeter, halpha_chord
 from fracgeo.inequalities import SUITE_SECTIONS, run_suite
 from fracgeo.inequalities import checks
 from fracgeo.inequalities.corpus import (
@@ -144,6 +144,28 @@ def test_interpolation_random_regions():
             xi = int(rng.integers(quad.node_count))
             rep = checks.check_curvature_interpolation(body, quad, subset, xi, 0.5)
             assert rep.passed
+
+
+@pytest.mark.parametrize("name", ["square", "ball2d", "icosa", "ball3d"])
+def test_halpha_at_nodes_is_kept_on_the_node_set(name):
+    body = load_fixture(name)
+    quad = surface_quadrature(body, 80)
+    values = checks.halpha_at_nodes(quad, 0.5)
+    assert checks.halpha_at_nodes(quad, 0.5) is values
+    assert not values.flags.writeable
+    with pytest.raises(ValueError):
+        values[0] = 0.0
+    other = checks.halpha_at_nodes(quad, 0.25)
+    assert other is not values and set(quad.curvatures) == {0.5, 0.25}
+    # a twin node set builds its own, equal array
+    twin = surface_quadrature(body, 80)
+    assert checks.halpha_at_nodes(twin, 0.5) is not values
+    for alpha, got in ((0.5, values), (0.25, other)):
+        want = [
+            halpha_chord(body, x, alpha, normal=nu).value
+            for x, nu in zip(quad.points, quad.normals)
+        ]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 def test_pointwise_constant_value():
@@ -489,7 +511,7 @@ def test_function_sobolev_ones_reduces_to_integral_bound():
     quad = surface_quadrature(disk, 180)
     alpha = s = 0.5
     params = Params(n=1, alpha=alpha, s=s, p=1.0)
-    hvals = checks.halpha_at_nodes(disk, quad, alpha)
+    hvals = checks.halpha_at_nodes(quad, alpha)
     constant = oracles.pointwise_constant(1, alpha)
     f_rep = checks.check_function_sobolev(
         ScalarField(quad, np.ones(quad.node_count)), params, alpha, constant, hvals
@@ -505,7 +527,7 @@ def test_set_sobolev_full_set_matches_function_form():
     quad = surface_quadrature(disk, 180)
     alpha = s = 0.5
     params = Params(n=1, alpha=alpha, s=s, p=1.0)
-    hvals = checks.halpha_at_nodes(disk, quad, alpha)
+    hvals = checks.halpha_at_nodes(quad, alpha)
     constant = oracles.pointwise_constant(1, alpha)
     full = NodeSubset(quad, np.ones(quad.node_count, dtype=bool))
     s_rep = checks.check_set_sobolev(quad, full, params, alpha, constant, hvals)
@@ -529,7 +551,7 @@ def test_fit_constant_equals_rerunning_with_the_fitted_constant():
     runs = {}  # check -> [(args, keywords)], the constant passed by keyword
     for k, quad in enumerate(quads):
         body, alpha = quad.body, (0.25, 0.5, 0.75)[k]
-        hvals = checks.halpha_at_nodes(body, quad, alpha)
+        hvals = checks.halpha_at_nodes(quad, alpha)
         for s, p in ((0.5, 1.0), (0.25, 2.0)):
             xi = int(rng.integers(quad.node_count))
             subset = cap_subset(quad, xi, rng.uniform(0.3, 0.9) * body.diameter())

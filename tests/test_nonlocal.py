@@ -17,6 +17,7 @@ from fracgeo.geometry import (
 from fracgeo.nonlocal_ops import (
     NonInteriorPointError,
     ScalarField,
+    _chord_values,
     double_layer,
     frac_perimeter,
     gagliardo,
@@ -115,6 +116,25 @@ def test_polygon_chord_matches_mpmath_references():
     x = v[3] + 1e-6 * (v[4] - v[3]) / np.linalg.norm(v[4] - v[3])
     for alpha, want in ELEVEN_GON_REFS:
         assert halpha_chord(gon, x, alpha).value == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.001, 0.5, 0.999])
+def test_batched_polygon_chord_matches_a_per_point_sum(alpha):
+    rng = np.random.default_rng(17)
+    for body in (
+        unit_square(), corpus.regular_polygon(17, 1.1), corpus.random_ellipse_polygon(rng)
+    ):
+        # every node, and a point just past each vertex, where the next
+        # edges are seen at grazing angles
+        v, e = body.vertices, body.edges
+        pts = np.concatenate([
+            surface_quadrature(body, 96).points,
+            v + 1e-6 * e / np.linalg.norm(e, axis=1, keepdims=True),
+        ])
+        values, errors = _chord_values(body, pts, alpha)
+        want = np.array([oracles.polygon_halpha(v, x, alpha) for x in pts])
+        assert np.all(errors == 0.0)
+        np.testing.assert_allclose(values, want, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("name", ["square", "ball2d", "cube", "ball3d"])
@@ -427,8 +447,8 @@ def test_batched_near_pairs_match_a_per_pair_loop(name, res):
     assert len(pairs) >= quad.node_count
     want, got = [], []
     for i, j in pairs:
-        pi, _, wi = quad.refine_node(int(i), 1)
-        pj, _, wj = quad.refine_node(int(j), 1)
+        pi, wi = oracles.split_cell(quad, i)
+        pj, wj = oracles.split_cell(quad, j)
         d = np.linalg.norm(pi[:, None, :] - pj[None, :, :], axis=2)
         want.append(float(np.sum(np.outer(wi, wj) / d**power)))
         got.append((mat[i, j], mat[j, i]))
