@@ -17,7 +17,7 @@ from .geometry import (
     make_body,
     surface_quadrature,
 )
-from .quadrature import graded_half_rule, sphere_rule
+from .quadrature import sphere_rule
 from .nonlocal_ops import (
     CurvatureValue,
     ScalarField,
@@ -45,7 +45,6 @@ from .flow import (
     check_first_variation,
     classical_curvature,
     flow,
-    marker_halpha,
     sample_boundary,
 )
 from .fixtures import FIXTURE_NAMES, load_fixture
@@ -79,13 +78,11 @@ __all__ = [
     "flow",
     "frac_perimeter",
     "gagliardo",
-    "graded_half_rule",
     "halpha_boundary",
     "halpha_chord",
     "interaction_matrix",
     "load_fixture",
     "make_body",
-    "marker_halpha",
     "run_suite",
     "sample_boundary",
     "sphere_rule",

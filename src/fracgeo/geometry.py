@@ -21,8 +21,6 @@ from scipy.spatial import ConvexHull
 
 from .icosphere import sphere_cells, sphere_mesh, split4
 
-# grazing-ray threshold for directional denominators
-RAY_EPSILON = 1e-12
 # points closer than this (relative to diameter) to a facet boundary count as on it
 BOUNDARY_REL_TOL = 1e-9
 
@@ -40,10 +38,6 @@ class DegenerateError(GeometryError):
 
 
 class ResolutionTooLowError(GeometryError):
-    pass
-
-
-class NotInwardError(GeometryError):
     pass
 
 
@@ -629,20 +623,7 @@ class NodeSubset:
 
 
 # ---------------------------------------------------------------------------
-# rays and chords
-
-
-def surface_normal(body: ConvexBody, x: np.ndarray) -> np.ndarray:
-    """Outward unit normal at a boundary point (nearest facet for polytopes)."""
-    x = np.asarray(x, dtype=float)
-    if isinstance(body, Ball):
-        r = x - body.center
-        nr = np.linalg.norm(r)
-        if nr == 0.0:
-            raise GeometryError("center is not a boundary point")
-        return r / nr
-    slack = body.facet_offsets - body.facet_normals @ x
-    return body.facet_normals[int(np.argmin(np.abs(slack)))]
+# facet skeleton
 
 
 def boundary_distance(body: ConvexBody, x: np.ndarray) -> float:
@@ -655,47 +636,9 @@ def boundary_distance(body: ConvexBody, x: np.ndarray) -> float:
         return body.diameter()
     if isinstance(body, Polygon2D):
         return float(np.linalg.norm(body.vertices - x, axis=1).min())
-    best = np.inf
-    c = body.face_corners
-    for a, b in ((0, 1), (1, 2), (2, 0)):
-        pa, pb = c[:, a], c[:, b]
-        ab = pb - pa
-        t = np.clip(
-            np.einsum("ij,ij->i", x - pa, ab) / np.einsum("ij,ij->i", ab, ab), 0, 1
-        )
-        proj = pa + t[:, None] * ab
-        best = min(best, float(np.linalg.norm(proj - x, axis=1).min()))
-    return best
-
-
-def ray_exits(body: ConvexBody, x: np.ndarray, omegas: np.ndarray) -> np.ndarray:
-    """Exit parameters sup{t > 0 : x + t*omega in the body} for many rays.
-
-    Rays that leave immediately (directions outside the local tangent cone)
-    report 0. Grazing denominators below the ray epsilon are treated as
-    non-exiting, which selects the longer parameter.
-    """
-    x = np.asarray(x, dtype=float)
-    om = np.atleast_2d(omegas)
-    if isinstance(body, Ball):
-        rho = -2.0 * (om @ (x - body.center))
-        return np.maximum(rho, 0.0)
-    denom = om @ body.facet_normals.T
-    numer = body.facet_offsets - body.facet_normals @ x
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(denom > RAY_EPSILON, numer[None, :] / denom, np.inf)
-    t = np.maximum(t, 0.0)
-    return t.min(axis=1)
-
-
-def chord_length(body: ConvexBody, x: np.ndarray, omega: np.ndarray) -> float:
-    """Length of the chord cut by the body along the inward ray x + t*omega."""
-    x = np.asarray(x, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    nu = surface_normal(body, x)
-    if float(omega @ nu) >= 0.0:
-        raise NotInwardError("direction does not point into the body")
-    return float(ray_exits(body, x, omega[None, :])[0])
+    c, tau = body.face_corners, body.edge_tangents
+    t = np.clip(np.vecdot(x - c, tau), 0.0, body.edge_lengths)
+    return float(np.linalg.norm(c + t[..., None] * tau - x, axis=-1).min())
 
 
 # ---------------------------------------------------------------------------

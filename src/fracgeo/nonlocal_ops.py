@@ -18,7 +18,7 @@ twice the perimeter) holds at the arithmetic level, not just in the limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -37,9 +37,7 @@ from .geometry import (
     circle_crossings,
     _solid_angle,
     _triangle_pieces,
-    ray_exits,
 )
-from .quadrature import graded_half_rule, graded_interval
 
 # edge kernels (hull chord form, sphere double layer): Gauss-Legendre rule
 # per panel, longest panel (in the edge variable), and (points x facets)
@@ -240,50 +238,6 @@ def _segment_shares(x, a, b, normals, alpha):
     return 0.5 * beta(0.5, k) * h ** (-alpha) * (prim[1] - prim[0])
 
 
-def clipped_chord_sum(
-    body: ConvexBody,
-    x: np.ndarray,
-    nu: np.ndarray,
-    alpha: float,
-    resolution: int,
-    gap_low: float = 0.0,
-    gap_high: float = 0.0,
-    osc_radius_low: float = np.inf,
-    osc_radius_high: float = np.inf,
-) -> float:
-    """Chord-form sum with the near-tangent cone gaps handled explicitly.
-
-    At a marker with entering cone (gap_low, pi - gap_high) the rule cells
-    are clipped to the cone and each gap is integrated against the local
-    osculating model chord(theta) ~ 2 * R_osc * sin(theta). Gaps of zero
-    reduce to the plain facet-interior evaluation.
-    """
-    rule = graded_half_rule(np.asarray(nu, dtype=float), alpha, resolution)
-    lo = np.clip(rule.cells[:, 0], gap_low, np.pi - gap_high)
-    hi = np.clip(rule.cells[:, 1], gap_low, np.pi - gap_high)
-    widths = hi - lo
-    keep = widths > 0.0
-    thetas = rule.thetas.copy()
-    clipped = keep & (
-        (rule.cells[:, 0] < gap_low) | (rule.cells[:, 1] > np.pi - gap_high)
-    )
-    thetas[clipped] = 0.5 * (lo[clipped] + hi[clipped])
-    tangent = np.array([-nu[1], nu[0]])
-    dirs = np.outer(np.cos(thetas[keep]), tangent) - np.outer(
-        np.sin(thetas[keep]), np.asarray(nu, dtype=float)
-    )
-    rho = ray_exits(body, x, dirs)
-    positive = rho > 0.0
-    value = float(
-        np.sum(widths[keep][positive] * rho[positive] ** (-alpha))
-    )
-    for gap, rosc in ((gap_low, osc_radius_low), (gap_high, osc_radius_high)):
-        if gap > 0.0 and np.isfinite(rosc) and rosc > 0.0:
-            nodes, dw = graded_interval(alpha, 24, gap)
-            value += float(np.sum(dw * (2.0 * rosc * np.sin(nodes)) ** (-alpha)))
-    return value
-
-
 # ---------------------------------------------------------------------------
 # boundary form and double layer
 
@@ -328,17 +282,13 @@ def halpha_boundary(
     under x, (y-x).nu = h, which is `_hull_halpha`'s kernel; on a sphere
     (y-x).nu = |y-x|^2 / 2R, whose integral is 2 pi (2R)^-alpha/(1-alpha);
     on planar bodies both forms are the same edge integrals. x is a node
-    index or point (on a polytope, any boundary point); the value is exact
-    and carries the chord form's error estimate.
+    index or point (on a polytope, any boundary point); the result is
+    `halpha_chord`'s at that point, its value, error estimate and overflow
+    flag, under the method name "boundary".
     """
-    Params(body.n, alpha)  # rejects alpha outside (0, 1)
     if quad.body is not body:
         raise GeometryError("quadrature was built for a different body")
-    pt, _ = _resolve_node(quad, x)
-    if body.is_polytope and boundary_distance(body, pt) < _on_surface_tol(body):
-        return CurvatureValue(pt, np.inf, "boundary", np.nan, overflow=True)
-    values, errors = _chord_values(body, pt[None], alpha)
-    return CurvatureValue(pt, float(values[0]), "boundary", float(errors[0]))
+    return replace(halpha_chord(body, _resolve_node(quad, x)[0], alpha), method="boundary")
 
 
 def double_layer(

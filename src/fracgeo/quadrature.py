@@ -32,28 +32,6 @@ class SphericalRule:
         return len(self.weights)
 
 
-@dataclass(frozen=True)
-class GradedHalfRule:
-    """Half-circle rule oriented by an outward normal, graded for chords.
-
-    Directions satisfy <omega, nu> < 0. `thetas` is the angle from the
-    tangent line; `cells` holds each node's theta interval so callers can
-    clip cells against a restricted entry cone (used at polygon corners).
-    """
-
-    n: int
-    alpha: float
-    nu: np.ndarray
-    directions: np.ndarray
-    weights: np.ndarray
-    thetas: np.ndarray
-    cells: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return len(self.weights)
-
-
 def sphere_rule(n: int, resolution: int) -> SphericalRule:
     """Uniform full-sphere rule: offset angle grid (n=1) or icosphere (n=2)."""
     if resolution < 8:
@@ -100,18 +78,16 @@ def graded_interval(alpha: float, count: int, upper: float):
     return nodes, widths
 
 
-def graded_half_rule(nu: np.ndarray, alpha: float, resolution: int) -> GradedHalfRule:
-    """Graded rule on the inward half-circle {<omega, nu> < 0} of a planar normal.
+def graded_half_rule(alpha: float, resolution: int):
+    """Graded rule on the half-circle of angles theta in (0, pi) from a tangent line.
 
-    Surfaces need no direction rule: their chord form is integrated exactly
-    (`nonlocal_ops.halpha_chord`).
+    Returns the nodes `thetas` and each node's interval `cells` (k, 2); cell
+    widths are the weights, and callers clip cells against a restricted
+    entry cone (polygon corners). Surfaces need no direction rule: their
+    chord form is integrated exactly (`nonlocal_ops.halpha_chord`).
     """
-    nu = np.asarray(nu, dtype=float)
-    nu = nu / np.linalg.norm(nu)
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0,1)")
-    if nu.shape != (2,):
-        raise ValueError("normal must be a 2-vector")
     m_half = max(resolution // 2, 8)
     nodes, widths = graded_interval(alpha, m_half, np.pi / 2.0)
     edges = np.concatenate([[0.0], np.cumsum(widths)])
@@ -119,7 +95,4 @@ def graded_half_rule(nu: np.ndarray, alpha: float, resolution: int) -> GradedHal
     thetas = np.concatenate([nodes, np.pi - nodes[::-1]])
     lo = np.concatenate([edges[:-1], np.pi - edges[1:][::-1]])
     hi = np.concatenate([edges[1:], np.pi - edges[:-1][::-1]])
-    weights = hi - lo
-    tangent = np.array([-nu[1], nu[0]])
-    dirs = np.outer(np.cos(thetas), tangent) - np.outer(np.sin(thetas), nu)
-    return GradedHalfRule(1, alpha, nu, dirs, weights, thetas, np.stack([lo, hi], axis=1))
+    return thetas, np.stack([lo, hi], axis=1)

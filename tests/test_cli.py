@@ -1,4 +1,4 @@
-"""Command line driver: record streams, exit codes, rerun determinism."""
+"""Command line driver: record streams, exit codes, rerun determinism, exports."""
 
 import json
 import os
@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fracgeo
 from fracgeo.cli import main
+from fracgeo.fixtures import FIXTURE_NAMES
 
 import oracles
 
@@ -54,6 +56,18 @@ def test_halpha_boundary_form_runs(tmp_path):
     assert code == 0
     values = np.array([r["value"] for r in records])
     assert np.all(np.isfinite(values)) and np.all(values > 0)
+
+
+@pytest.mark.parametrize("body", FIXTURE_NAMES)
+def test_halpha_forms_give_identical_values(tmp_path, body):
+    values = {}
+    for form in ("chord", "boundary"):
+        code, records, _ = run(
+            tmp_path, ["halpha", "--body", body, "--form", form], name=f"{form}.jsonl"
+        )
+        assert code == 0
+        values[form] = [r["value"] for r in records]
+    assert values["chord"] == values["boundary"]
 
 
 def test_halpha_body_file(tmp_path):
@@ -128,6 +142,11 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in fracgeo.__all__ if not hasattr(fracgeo, name)]
+    assert missing == []
 
 
 def test_seminorm_cap_on_stdout(capsys):

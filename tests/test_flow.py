@@ -17,7 +17,6 @@ from fracgeo.flow import (
     classical_curvature,
     flow,
     marker_frame,
-    marker_halpha,
     resample_equal_arclength,
     sample_boundary,
 )
@@ -140,21 +139,25 @@ def test_resample_stays_on_polyline_with_equal_arcs():
 # per-marker curvature
 
 
+def evaluate(markers, alpha):
+    return _MarkerEvaluator(alpha)(markers)[0]
+
+
 def test_marker_halpha_circle_uniform_and_accurate():
-    values = marker_halpha(circle_markers(256), ALPHA)
+    values = evaluate(circle_markers(256), ALPHA)
     assert np.ptp(values) < 1e-9 * values.mean()
     assert values.mean() == pytest.approx(oracles.disk_halpha(ALPHA), rel=0.01)
 
 
 def test_marker_halpha_scaling():
     markers = circle_markers(96, radius=1.1)
-    ratio = marker_halpha(2.0 * markers, ALPHA) / marker_halpha(markers, ALPHA)
+    ratio = evaluate(2.0 * markers, ALPHA) / evaluate(markers, ALPHA)
     assert np.allclose(ratio, 2.0 ** (-ALPHA), rtol=1e-12)
 
 
 def test_square_corners_move_faster_than_edges():
     markers = sample_boundary(unit_square(), 64)
-    values = marker_halpha(markers, ALPHA)
+    values = evaluate(markers, ALPHA)
     corner = np.where(np.all(np.abs(markers) < 1e-12, axis=1))[0][0]
     mid = int(np.argmin(np.abs(markers[:, 0] - 0.5) + np.abs(markers[:, 1])))
     assert values[corner] > 2.0 * values[mid]
@@ -168,27 +171,40 @@ def test_slab_midpoint_matches_closed_form():
         {"type": "polygon", "vertices": [[0, 0], [1, 0], [1, 0.05], [0, 0.05]]}
     )
     markers = sample_boundary(rect, 64)
-    values = marker_halpha(markers, ALPHA)
+    values = evaluate(markers, ALPHA)
     mid = int(np.argmin(np.abs(markers[:, 0] - 0.5) + np.abs(markers[:, 1])))
     slab = oracles.sin_power_integral(-ALPHA) * 0.05 ** (-ALPHA)
     assert values[mid] == pytest.approx(slab, rel=0.02)
 
 
+MARKER_SETS = (
+    circle_markers(8),  # the fewest markers a flow accepts
+    circle_markers(64, radius=1.3),
+    circle_markers(256),  # every marker has the same gap
+    sample_boundary(unit_square(), 64),
+    sample_boundary(regular_polygon(11, 0.8, phase=0.3), 48),
+    sample_boundary(load_fixture("thinrect"), 64),  # collinear: no gap
+)
+
+
 def test_evaluator_matches_reference():
-    marker_sets = (
-        circle_markers(8),  # the fewest markers a flow accepts
-        circle_markers(64, radius=1.3),
-        circle_markers(256),  # every marker has the same gap
-        sample_boundary(unit_square(), 64),
-        sample_boundary(regular_polygon(11, 0.8, phase=0.3), 48),
-        sample_boundary(load_fixture("thinrect"), 64),  # collinear: no gap
-    )
     for alpha in (0.1, 0.5, 0.75, 0.9):
         ev = _MarkerEvaluator(alpha)
-        for markers in marker_sets:
-            ref = marker_halpha(markers, alpha)
+        for markers in MARKER_SETS:
+            ref = oracles.marker_rule_sum(markers, alpha)
             got = ev(markers)[0]
             assert np.abs(got - ref).max() < 1e-12 * ref.max()
+
+
+def test_evaluator_matches_the_exact_marker_model():
+    # worst seen 8.9e-5, on the square and the thin rectangle at alpha 0.9;
+    # circles and the 11-gon stay under 1.5e-5
+    for alpha in (0.1, 0.5, 0.75, 0.9):
+        ev = _MarkerEvaluator(alpha)
+        for markers in MARKER_SETS:
+            exact = oracles.marker_halpha_exact(markers, alpha)
+            got = ev(markers)[0]
+            assert np.abs(got - exact).max() < 1.5e-4 * exact.max()
 
 
 @pytest.mark.parametrize("name", ["ball2d", "square"])
@@ -200,7 +216,7 @@ def test_flow_records_the_curvature_of_its_markers(name):
     picks = {1, 2, after_resample, after_resample + 1, last // 2, last}
     for k in sorted(picks):
         state = trace.states[k]
-        ref = marker_halpha(state.markers, ALPHA)
+        ref = oracles.marker_rule_sum(state.markers, ALPHA)
         assert np.abs(state.halpha - ref).max() < 1e-12 * ref.max()
 
 

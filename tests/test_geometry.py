@@ -1,4 +1,4 @@
-"""Bodies, boundary node sets, rays, and boundary-piece measures."""
+"""Bodies, boundary node sets, and boundary-piece measures."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from fracgeo.geometry import (
     Ball,
     DegenerateError,
     NonConvexError,
-    NotInwardError,
     NotPolytopeError,
     ParamError,
     Hull3D,
@@ -19,12 +18,10 @@ from fracgeo.geometry import (
     NodeSubset,
     ball_intersection_volume,
     ball_patch_measure,
-    chord_length,
     make_body,
     matching_radius,
     projection_measure,
     sphere_cap_measure,
-    surface_normal,
     surface_quadrature,
 )
 from fracgeo.fixtures import load_fixture
@@ -375,48 +372,9 @@ def test_convexity_node_pair_invariant():
         assert gap.min() >= -1e-9
 
 
-# ---------------------------------------------------------------------------
-# rays and chords
-
-
-def test_disk_chord_is_two_sine_theta():
-    disk = unit_disk()
-    x = np.array([1.0, 0.0])
-    for theta in (np.pi / 6, np.pi / 4, np.pi / 2, 3 * np.pi / 4):
-        omega = np.array([-np.sin(theta), np.cos(theta)])
-        assert chord_length(disk, x, omega) == pytest.approx(
-            2.0 * np.sin(theta), abs=1e-12
-        )
-
-
-def test_square_bottom_midpoint_vertical_chord():
+def test_scaled_measures_covariance():
     sq = unit_square()
-    x = np.array([0.5, 0.0])
-    assert chord_length(sq, x, np.array([0.0, 1.0])) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_outward_direction_rejected():
-    sq = unit_square()
-    x = np.array([0.5, 0.0])
-    nu = surface_normal(sq, x)
-    with pytest.raises(NotInwardError):
-        chord_length(sq, x, nu)
-
-
-def test_surface_normals():
-    assert np.allclose(surface_normal(unit_disk(), [0.0, 1.0]), [0.0, 1.0])
-    assert np.allclose(surface_normal(unit_square(), [0.5, 0.0]), [0.0, -1.0])
-
-
-def test_chord_scaling_covariance():
-    sq = unit_square()
-    x = np.array([0.5, 0.0])
-    omega = np.array([-0.6, 0.8])
-    base = chord_length(sq, x, omega)
     for lam in (0.5, 2.0):
-        assert chord_length(sq.scaled(lam), lam * x, omega) == pytest.approx(
-            lam * base, rel=1e-12
-        )
         assert sq.scaled(lam).perimeter() == pytest.approx(lam * 4.0, rel=1e-12)
         assert sq.scaled(lam).area() == pytest.approx(lam**2, rel=1e-12)
         assert sq.scaled(lam).diameter() == pytest.approx(lam * np.sqrt(2), rel=1e-12)

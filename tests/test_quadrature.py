@@ -80,32 +80,29 @@ def test_abs_cosine_rotation_invariance():
 
 
 def test_half_rule_constants_and_sidedness():
-    rng = np.random.default_rng(1)
-    nu = random_unit(rng, 2)
-    rule = graded_half_rule(nu, 0.5, 720)
-    assert rule.weights.sum() == pytest.approx(oracles.SPHERE_MEASURE[1] / 2.0, abs=1e-10)
-    assert np.max(rule.directions @ nu) < 0.0
+    thetas, cells = graded_half_rule(0.5, 720)
+    widths = cells[:, 1] - cells[:, 0]
+    assert widths.sum() == pytest.approx(oracles.SPHERE_MEASURE[1] / 2.0, abs=1e-10)
+    assert np.all((cells[:, 0] < thetas) & (thetas < cells[:, 1]))
+    assert np.min(np.sin(thetas)) > 0.0
 
 
 def test_half_rule_singular_model_n1():
-    # integrand sin(theta)^(-alpha) written through the normal component
-    nu = np.array([0.0, 1.0])
+    # integrand sin(theta)^(-alpha): the inward component of each direction
     for alpha, tol in ((0.25, 0.005), (0.5, 0.002), (0.75, 0.005)):
-        rule = graded_half_rule(nu, alpha, 720)
-        down = -(rule.directions @ nu)
-        value = float(np.sum(rule.weights * down ** (-alpha)))
+        thetas, cells = graded_half_rule(alpha, 720)
+        value = float(np.sum((cells[:, 1] - cells[:, 0]) * np.sin(thetas) ** (-alpha)))
         assert value == pytest.approx(oracles.sin_power_integral(alpha), rel=tol)
 
 
 def test_half_rule_refinement_cuts_error():
-    nu = np.array([1.0, 0.0])
     alpha = 0.5
     target = oracles.sin_power_integral(alpha)
 
     def err(res):
-        rule = graded_half_rule(nu, alpha, res)
-        down = -(rule.directions @ nu)
-        return abs(float(np.sum(rule.weights * down ** (-alpha))) - target)
+        thetas, cells = graded_half_rule(alpha, res)
+        value = float(np.sum((cells[:, 1] - cells[:, 0]) * np.sin(thetas) ** (-alpha)))
+        return abs(value - target)
 
     assert err(720) <= err(360) / 2.0
 
