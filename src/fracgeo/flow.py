@@ -12,7 +12,6 @@ identities and the extinction time can be read off afterwards.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 

@@ -426,8 +426,9 @@ class SurfaceQuadrature:
     split (`split_cells`): segment endpoints for polygon edges, angle
     intervals for circles, triangle corners for hull faces and sphere cells.
     `spacings` is the cell diameter and drives near-pair thresholds.
-    `matrices` holds the read-only interaction matrices built on this node
-    set, keyed by power (`nonlocal_ops.interaction_matrix`), and
+    `matrices` holds the read-only pair interactions built on this node
+    set, keyed by power (`nonlocal_ops.interaction_matrix`): condensed, in
+    `pdist` order, half the bytes of the matrices `squareform` gives; and
     `curvatures` the read-only chord-form curvatures at its nodes, keyed by
     alpha (`inequalities.checks.halpha_at_nodes`). Both live and die with
     the node set, so the arrays above must not change once one is built.
@@ -705,6 +706,10 @@ def sphere_cap_measure(body: ConvexBody, x: np.ndarray, radius: float) -> float:
         # x + radius w is in the ball iff <w, e> < q, e the unit vector from
         # the centre to x; about the centre the sphere is wholly in or out
         dist = float(np.linalg.norm(x - body.center))
+        # a node sits a rounding of its coordinates off the sphere, which
+        # R^2 - dist^2 would turn into an error of eps / radius in q
+        tol = 1e-15 * (body.radius + float(np.linalg.norm(x)))
+        dist = body.radius if abs(dist - body.radius) <= tol else dist
         top = body.radius**2 - dist**2 - radius**2
         q = top / (2.0 * radius * dist) if dist > 0.0 else np.sign(body.radius - radius)
         q = np.clip(q, -1.0, 1.0)

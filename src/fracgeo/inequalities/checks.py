@@ -30,10 +30,9 @@ from ..nonlocal_ops import (
     frac_perimeter,
     gagliardo,
     halpha_chord,
-    interaction_matrix,
     tail_integral,
 )
-from ..quadrature import SphericalRule, abs_cosine_integral, sphere_rule
+from ..quadrature import SphericalRule, abs_cosine_integral
 from .reports import (
     InequalityReport,
     SlicingSequence,
@@ -461,20 +460,16 @@ def check_coarea(
     reproduces indicator fields exactly.
     """
     quad = field.quadrature
-    mat = interaction_matrix(quad, quad.n + s)
-    du = np.abs(field.values[:, None] - field.values[None, :])
-    lhs = 0.5 * float((mat * du).sum())
+    lhs = 0.5 * gagliardo(field, s, 1.0)
     lo, hi = float(field.values.min()), float(field.values.max())
     if hi <= lo:
         rhs = 0.0
     else:
+        # the levels between u_i and u_j split the pair, |L_i - L_j| of them
+        # with L_i the levels below u_i, so the layers sum to half L's energy
         dt = (hi - lo) / levels
-        rhs = 0.0
-        for k in range(levels):
-            t = lo + (k + 0.5) * dt
-            mask = field.values > t
-            if mask.any() and not mask.all():
-                rhs += float(mat[mask][:, ~mask].sum()) * dt
+        below = np.searchsorted(lo + (np.arange(levels) + 0.5) * dt, field.values)
+        rhs = 0.5 * gagliardo(ScalarField(quad, below), s, 1.0) * dt
     return identity_report(
         "coarea-layer-identity",
         lhs,

@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
+from scipy.spatial.distance import pdist
 from scipy.special import beta, betainc
 
 from .geometry import (
@@ -466,42 +467,39 @@ def _arc_angle(quad, x, include, within):
 
 
 def interaction_matrix(quad: SurfaceQuadrature, power: float) -> np.ndarray:
-    """Symmetric matrix w_i w_j / |x_i - x_j|^power with near pairs refined.
+    """Pair interactions w_i w_j / |x_i - x_j|^power with near pairs refined.
 
-    Pairs closer than two local spacings are re-evaluated on one 4-split
-    level of both cells, all of them in one batched pass. The diagonal is
-    zero; callers assemble perimeters and energies by masking. The matrix is
-    built once per power and kept in `quad.matrices`, so every call on the
-    same node set returns the same read-only array: copy it before writing.
+    Condensed: one entry per unordered pair i < j, in the order of
+    `scipy.spatial.distance.pdist`, so `squareform` expands it to the
+    symmetric matrix with a zero diagonal. Pairs closer than two local
+    spacings are re-evaluated on one 4-split level of both cells, all of
+    them in one batched pass. The vector is built once per power and kept
+    in `quad.matrices`, so every call on the same node set returns the same
+    read-only array: copy it before writing.
     """
     key = float(power)
     if key in quad.matrices:
         return quad.matrices[key]
-    pts = quad.points
-    w = quad.weights
-    # |x_i - x_j| one coordinate at a time, so one (N, N) temporary is live
-    dist = np.zeros((quad.node_count, quad.node_count))
-    for k in range(pts.shape[1]):
-        step = np.subtract.outer(pts[:, k], pts[:, k])
-        dist += np.square(step, out=step)
-    np.sqrt(dist, out=dist)
-    limit = np.maximum.outer(quad.spacings, quad.spacings)
-    limit *= NEAR_FACTOR_PAIRS
-    near_i, near_j = np.nonzero(np.triu((dist < limit) & (dist > 0.0), 1))
-    del limit
-    dist **= power
-    mat = np.divide(1.0, dist, out=dist, where=dist > 0.0)
-    np.multiply(np.outer(w, w), mat, out=mat)
-    np.fill_diagonal(mat, 0.0)
-    if len(near_i):
+    count, w, sp = quad.node_count, quad.weights, quad.spacings
+    mat = pdist(quad.points)
+    # pair (i, j), i < j, sits at starts[i] + j - i - 1
+    starts = np.concatenate([[0], np.cumsum(np.arange(count - 1, 0, -1))])
+    cand = np.flatnonzero(mat < NEAR_FACTOR_PAIRS * sp.max())
+    near_i = np.searchsorted(starts, cand, side="right") - 1
+    near_j = cand - starts[near_i] + near_i + 1
+    near = (mat[cand] < NEAR_FACTOR_PAIRS * np.maximum(sp[near_i], sp[near_j])) & (mat[cand] > 0)
+    cand, near_i, near_j = cand[near], near_i[near], near_j[near]
+    mat **= power
+    np.divide(1.0, mat, out=mat, where=mat > 0.0)
+    for i in range(count - 1):
+        mat[starts[i] : starts[i + 1]] *= w[i] * w[i + 1 :]
+    if len(cand):
         nodes, slot = np.unique(np.concatenate([near_i, near_j]), return_inverse=True)
         sub_pts, sub_w = quad.split_cells(nodes)
-        a, b = slot[: len(near_i)], slot[len(near_i) :]
+        a, b = slot[: len(cand)], slot[len(cand) :]
         d = np.linalg.norm(sub_pts[a][:, :, None, :] - sub_pts[b][:, None, :, :], axis=3)
         terms = sub_w[a][:, :, None] * sub_w[b][:, None, :] / d**power
-        vals = terms.reshape(len(a), -1).sum(axis=1)
-        mat[near_i, near_j] = vals
-        mat[near_j, near_i] = vals
+        mat[cand] = terms.reshape(len(a), -1).sum(axis=1)
     mat.setflags(write=False)
     quad.matrices[key] = mat
     return mat
@@ -517,20 +515,21 @@ def frac_perimeter(subset: NodeSubset, s: float) -> float:
         raise GeometryError(f"s must lie in (0,1), got {s}")
     quad = subset.quadrature
     mat = interaction_matrix(quad, quad.n + s)
-    mixed = subset.mask[:, None] ^ subset.mask[None, :]
-    return float(mat[np.triu(mixed)].sum())
+    return float(mat[pdist(subset.mask[:, None], "cityblock") > 0.0].sum())
 
 
 def gagliardo(field: ScalarField, s: float, p: float) -> float:
-    """Gagliardo energy (p-th power of the seminorm) of a node field."""
+    """Gagliardo energy (p-th power of the seminorm) of a node field.
+
+    Twice the sum over pairs i < j of `interaction_matrix` times |u_i - u_j|^p.
+    """
     if not 0.0 < s < 1.0:
         raise GeometryError(f"s must lie in (0,1), got {s}")
     if p < 1.0:
         raise GeometryError(f"p must be >= 1, got {p}")
     quad = field.quadrature
     mat = interaction_matrix(quad, quad.n + s * p)
-    du = np.abs(field.values[:, None] - field.values[None, :]) ** p
-    return float((mat * du).sum())
+    return 2.0 * float((mat * pdist(field.values[:, None], "cityblock") ** p).sum())
 
 
 def tail_integral(quad: SurfaceQuadrature, x, subset: NodeSubset, sp: float) -> float:

@@ -221,6 +221,51 @@ def split_cell(quad, i):
 
 
 # ---------------------------------------------------------------------------
+# dense interaction sums on a node set
+
+
+def dense_interaction_matrix(quad, power: float, near_factor: float = 2.0):
+    """Full symmetric (N, N) matrix w_i w_j / |x_i - x_j|^power, zero diagonal.
+
+    Distances one coordinate at a time, reciprocal powers, then the weight
+    products; pairs closer than near_factor local spacings are replaced by
+    the sum over one 4-split of both cells (`quad.split_cells`).
+    """
+    pts, w = quad.points, quad.weights
+    dist = np.zeros((quad.node_count, quad.node_count))
+    for k in range(pts.shape[1]):
+        dist += np.subtract.outer(pts[:, k], pts[:, k]) ** 2
+    dist = np.sqrt(dist)
+    limit = near_factor * np.maximum.outer(quad.spacings, quad.spacings)
+    near_i, near_j = np.nonzero(np.triu((dist < limit) & (dist > 0.0), 1))
+    dist **= power
+    mat = np.divide(1.0, dist, out=np.zeros_like(dist), where=dist > 0.0)
+    mat = np.outer(w, w) * mat
+    if len(near_i):
+        nodes, slot = np.unique(np.concatenate([near_i, near_j]), return_inverse=True)
+        sub_pts, sub_w = quad.split_cells(nodes)
+        a, b = slot[: len(near_i)], slot[len(near_i) :]
+        d = np.linalg.norm(sub_pts[a][:, :, None, :] - sub_pts[b][:, None, :, :], axis=3)
+        terms = sub_w[a][:, :, None] * sub_w[b][:, None, :] / d**power
+        vals = terms.reshape(len(a), -1).sum(axis=1)
+        mat[near_i, near_j] = vals
+        mat[near_j, near_i] = vals
+    return mat
+
+
+def coarea_level_sum(mat, values, levels: int) -> float:
+    """Layered perimeter integral: at each midpoint level t of `levels` equal
+    bins of the value range, the interaction of {u > t} with {u <= t}."""
+    lo, hi = float(values.min()), float(values.max())
+    dt = (hi - lo) / levels
+    total = 0.0
+    for k in range(levels):
+        mask = values > lo + (k + 0.5) * dt
+        total += float(mat[mask][:, ~mask].sum()) * dt
+    return total
+
+
+# ---------------------------------------------------------------------------
 # dense-grid brute sums on the unit circle
 
 

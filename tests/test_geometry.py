@@ -34,8 +34,6 @@ from fracgeo.icosphere import (
     split4,
 )
 
-import oracles
-
 
 def unit_square() -> Polygon2D:
     return make_body(
@@ -623,6 +621,22 @@ def test_ball_cap_and_lens_closed_forms():
             for lo, hi in zip(kinks[:-1], kinks[1:])
         )
         assert ball_intersection_volume(ball, x, r) == pytest.approx(total, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize(
+    "ball",
+    [load_fixture("ball3d"), Ball(3, np.array([3.0, 1.0, -2.0]), 0.01),
+     Ball(3, np.array([100.0, 0.0, 0.0]), 7.0)],
+    ids=["ball3d", "small-off-centre", "far-off-centre"],
+)
+def test_ball_cap_at_nodes_keeps_full_accuracy_at_small_radii(ball):
+    # a node sits a rounding of its coordinates off the sphere; the cap must
+    # not turn that into an error of eps / r
+    quad = surface_quadrature(ball, 320)
+    for r in ball.radius * np.array([1e-2, 1e-4, 1e-6]):
+        want = 2.0 * np.pi * r * r * (1.0 - r / (2.0 * ball.radius))
+        got = np.array([sphere_cap_measure(ball, x, r) for x in quad.points])
+        assert np.all(np.abs(got - want) <= 1e-14 * want)
 
 
 def _walk_cap_measure(body, x, radius, resolution=4096):

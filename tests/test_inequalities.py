@@ -419,6 +419,19 @@ def test_coarea_scales_linearly():
     assert two.rhs == pytest.approx(2.0 * one.rhs, rel=1e-12)
 
 
+@pytest.mark.parametrize("name, res", [("ball2d", 160), ("cube", 192), ("ball3d", 320)])
+def test_coarea_one_pass_matches_the_level_loop(name, res):
+    quad = surface_quadrature(load_fixture(name), res)
+    dense = oracles.dense_interaction_matrix(quad, quad.n + 0.5)
+    rng = np.random.default_rng(7)
+    fields = [quad.points[:, 0], np.exp(quad.points[:, -1]), rng.uniform(-1.0, 2.0, quad.node_count)]
+    for values in fields:
+        for levels in (16, 64, 128):
+            rep = checks.check_coarea(ScalarField(quad, values), 0.5, levels=levels)
+            want = oracles.coarea_level_sum(dense, values, levels)
+            assert rep.rhs == pytest.approx(want, rel=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # dyadic slicing
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import squareform
 
 from fracgeo.geometry import (
     Ball,
@@ -404,12 +405,18 @@ def test_boundary_of_foreign_quadrature_rejected():
 # interaction sums
 
 
+def condensed_index(count, i, j):
+    """Position of the pair i < j in a `pdist`-ordered vector."""
+    return count * i - i * (i + 1) // 2 + (j - i - 1)
+
+
 def test_interaction_matrix_shape_and_symmetry():
     quad = surface_quadrature(unit_disk(), 120)
     mat = interaction_matrix(quad, 1.5)
-    assert mat.shape == (120, 120)
-    assert np.allclose(mat, mat.T)
-    assert np.all(np.diag(mat) == 0.0)
+    assert mat.shape == (120 * 119 // 2,)
+    full = squareform(mat)
+    assert np.array_equal(full, full.T)
+    assert np.all(np.diag(full) == 0.0)
     assert mat.min() >= 0.0
 
 
@@ -419,7 +426,7 @@ def test_interaction_matrix_is_built_once_per_power():
     assert interaction_matrix(quad, 1.5) is mat
     assert not mat.flags.writeable
     with pytest.raises(ValueError):
-        mat[0, 1] = 0.0
+        mat[0] = 0.0
     other = interaction_matrix(quad, 2.5)
     assert other is not mat and not np.array_equal(other, mat)
     twin = surface_quadrature(unit_disk(), 120)
@@ -451,11 +458,31 @@ def test_batched_near_pairs_match_a_per_pair_loop(name, res):
         pj, wj = oracles.split_cell(quad, j)
         d = np.linalg.norm(pi[:, None, :] - pj[None, :, :], axis=2)
         want.append(float(np.sum(np.outer(wi, wj) / d**power)))
-        got.append((mat[i, j], mat[j, i]))
+        got.append(mat[condensed_index(quad.node_count, i, j)])
     want = np.array(want)
     got = np.array(got)
-    assert np.array_equal(got[:, 0].view(np.uint64), want.view(np.uint64))
-    assert np.array_equal(got[:, 1].view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_condensed_matrix_matches_the_dense_build(name):
+    body = load_fixture(name)
+    for res in (128, 640):
+        quad = surface_quadrature(body, res)
+        upper = np.triu_indices(quad.node_count, 1)
+        for s in (0.25, 0.5):
+            power = quad.n + s
+            dense = oracles.dense_interaction_matrix(quad, power)
+            mat = interaction_matrix(quad, power)
+            assert np.array_equal(mat.view(np.uint64), dense[upper].view(np.uint64))
+            # the perimeter sums the same mixed pairs in the same order
+            subset = NodeSubset(quad, quad.points[:, 0] > 0.1 * quad.points[:, 1])
+            mixed = subset.mask[:, None] ^ subset.mask[None, :]
+            assert frac_perimeter(subset, s) == float(dense[np.triu(mixed)].sum())
+            values = np.sin(3.0 * quad.points[:, 0]) + quad.points[:, -1] ** 2
+            du = np.abs(values[:, None] - values[None, :])
+            want = float((dense * du).sum())
+            assert gagliardo(ScalarField(quad, values), s, 1.0) == pytest.approx(want, rel=1e-14)
 
 
 def test_frac_perimeter_trivial_sets():
