@@ -245,6 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for flag, least in (("count", 1), ("report_states", 1), ("seed", 0)):
+        if getattr(args, flag, least) < least:
+            print(f"error: --{flag.replace('_', '-')} must be at least {least}", file=sys.stderr)
+            return 2
     emit = _Emitter(args.out)
     try:
         return args.func(args, emit)

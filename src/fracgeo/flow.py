@@ -18,7 +18,10 @@ from typing import Optional, Union
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from .geometry import Ball, ConvexBody, GeometryError, Polygon2D, _vertex_diameter
+from .geometry import (
+    Ball, ConvexBody, GeometryError, Params, Polygon2D, _edge_pieces, _signed_area,
+    _vertex_diameter,
+)
 from .quadrature import graded_half_rule, graded_interval
 
 # graded directions per marker's chord sum
@@ -68,6 +71,8 @@ class FlowOptions:
             raise GeometryError("need at least 8 markers")
         if not 0.0 < self.cfl <= 0.9:
             raise GeometryError("cfl must lie in (0, 0.9]")
+        if self.resample_every < 1:
+            raise GeometryError("resample_every must be at least 1")
 
 
 @dataclass
@@ -90,7 +95,7 @@ class FlowTrace:
     rehull_steps: list = field(default_factory=list)
     t_star_num: Optional[float] = None
 
-    def extinction_estimate(self, window: int = 8) -> float:
+    def extinction_estimate(self) -> float:
         """Root of the late-time linear fit to perimeter^(1+alpha).
 
         For shrinking convex curves that power decays at an asymptotically
@@ -99,7 +104,7 @@ class FlowTrace:
         """
         if len(self.states) < 6:
             raise TraceTooShortError("need at least 6 recorded states")
-        tail = self.states[-min(window, len(self.states)):]
+        tail = self.states[-8:]
         t = np.array([s.t for s in tail])
         y = np.array([s.perimeter ** (1.0 + self.alpha) for s in tail])
         slope, intercept = np.polyfit(t, y, 1)
@@ -243,10 +248,9 @@ def sample_boundary(body: ConvexBody, count: int) -> np.ndarray:
         return body.center + body.radius * np.stack([np.cos(t), np.sin(t)], axis=1)
     if not isinstance(body, Polygon2D):
         raise GeometryError("flow runs on planar bodies")
-    verts = body.vertices
     lengths = body.edge_lengths
-    if count < len(verts):
-        raise GeometryError(f"need at least {len(verts)} markers for this polygon")
+    if count < body.edge_count:
+        raise GeometryError(f"need at least {body.edge_count} markers for this polygon")
     raw = count * lengths / lengths.sum()
     per_edge = np.maximum(np.floor(raw).astype(int), 1)
     while per_edge.sum() > count:
@@ -256,12 +260,7 @@ def sample_boundary(body: ConvexBody, count: int) -> np.ndarray:
         k = int(np.argmax(remainder))
         per_edge[k] += 1
         remainder[k] = -np.inf
-    pieces = []
-    for i, k in enumerate(per_edge):
-        a, b = verts[i], verts[(i + 1) % len(verts)]
-        frac = np.arange(k) / k
-        pieces.append(a + np.outer(frac, b - a))
-    return np.concatenate(pieces, axis=0)
+    return _edge_pieces(body, per_edge)[1]
 
 
 def resample_equal_arclength(markers: np.ndarray, count: int) -> np.ndarray:
@@ -277,13 +276,6 @@ def resample_equal_arclength(markers: np.ndarray, count: int) -> np.ndarray:
     return closed[idx] + frac[:, None] * (closed[idx + 1] - closed[idx])
 
 
-def _shoelace(markers: np.ndarray) -> float:
-    x, y = markers[:, 0], markers[:, 1]
-    return 0.5 * float(
-        np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
-    )
-
-
 def flow(
     initial: Union[ConvexBody, np.ndarray],
     alpha: float,
@@ -296,15 +288,14 @@ def flow(
     initial area). Degeneration earlier than that raises StepCollapseError,
     and exceeding max_steps raises MaxStepsExceededError.
     """
-    if not 0.0 < alpha < 1.0:
-        raise GeometryError("alpha must lie in (0,1)")
+    Params(1, alpha)  # rejects alpha outside (0, 1)
     if isinstance(initial, ConvexBody):
         markers = sample_boundary(initial, options.markers)
     else:
         markers = np.array(initial, dtype=float)
         if markers.ndim != 2 or markers.shape[1] != 2 or len(markers) < 8:
             raise GeometryError("markers must be an (m, 2) array, m >= 8")
-        if _shoelace(markers) < 0.0:
+        if _signed_area(markers) < 0.0:
             markers = markers[::-1].copy()
     frame = marker_frame(markers)
     if frame[2].min() < -TURN_TOLERANCE:
@@ -312,11 +303,11 @@ def flow(
 
     evaluate = _MarkerEvaluator(alpha)
     trace = FlowTrace(alpha=alpha, options=options)
-    area0 = _shoelace(markers)
+    area0 = _signed_area(markers)
     t = 0.0
     for step in range(options.max_steps):
         values, turns, bis, lengths = evaluate(markers, frame)
-        area = _shoelace(markers)
+        area = _signed_area(markers)
         # a thin body collapses across its width long before marker spacing
         # shrinks; the mean-width proxy 2A/P puts dt on that clock too
         scale = min(float(lengths.min()), 2.0 * area / float(lengths.sum()))
@@ -334,7 +325,7 @@ def flow(
         predicted = markers - dt * values[:, None] * bis
         try:
             values2, turns2, bis2, _ = evaluate(predicted)
-            if turns2.min() < -TURN_TOLERANCE or _shoelace(predicted) <= 0.0:
+            if turns2.min() < -TURN_TOLERANCE or _signed_area(predicted) <= 0.0:
                 raise StepCollapseError("predicted front folded")
             velocity = 0.5 * (values[:, None] * bis + values2[:, None] * bis2)
         except StepCollapseError:
@@ -349,8 +340,8 @@ def flow(
             markers = resample_equal_arclength(markers, options.markers)
             trace.resampled_steps.append(step + 1)
             frame = None
-        if len(markers) < 8 or _shoelace(markers) <= 0.0:
-            if _shoelace(markers) < 0.05 * area0:
+        if len(markers) < 8 or _signed_area(markers) <= 0.0:
+            if _signed_area(markers) < 0.05 * area0:
                 trace.ending = "collapse"
                 break
             raise StepCollapseError("front degenerated far from extinction")
@@ -394,8 +385,7 @@ def _clean_interior_steps(trace: FlowTrace) -> list:
     ]
 
 
-def check_first_variation(trace: FlowTrace, rel_tolerance: float = 0.05,
-                          samples: int = 12):
+def check_first_variation(trace: FlowTrace):
     """Perimeter dissipation along the run: the centered perimeter rate must
     match minus the tangent-chord weighted curvature sum at the middle state.
 
@@ -408,7 +398,7 @@ def check_first_variation(trace: FlowTrace, rel_tolerance: float = 0.05,
     clean = _clean_interior_steps(trace)
     if not clean:
         raise TraceTooShortError("no states free of resampling on both sides")
-    stride = max(1, len(clean) // samples)
+    stride = max(1, len(clean) // 12)
     worst_dev = 0.0
     worst = None
     for k in clean[::stride]:
@@ -420,12 +410,11 @@ def check_first_variation(trace: FlowTrace, rel_tolerance: float = 0.05,
         if dev >= worst_dev:
             worst_dev = dev
             worst = (k, rate, predicted)
-    report = identity_report(
-        "perimeter-first-variation", worst[1], worst[2], rel_tolerance,
+    return identity_report(
+        "perimeter-first-variation", worst[1], worst[2], 0.05,
         params={"alpha": trace.alpha},
         details={"state": worst[0], "checked": len(clean[::stride])},
     )
-    return report
 
 
 def check_decay_and_bounds(trace: FlowTrace, slope_floor: float = 0.05):
@@ -482,10 +471,10 @@ def write_trace_csv(trace: FlowTrace, path) -> None:
             ])
 
 
-def write_snapshot_svg(trace: FlowTrace, path, count: int = 8) -> None:
+def write_snapshot_svg(trace: FlowTrace, path) -> None:
     """Draw evenly spaced fronts from the trace, latest the darkest."""
     picks = np.unique(
-        np.linspace(0, len(trace.states) - 1, min(count, len(trace.states))).astype(int)
+        np.linspace(0, len(trace.states) - 1, min(8, len(trace.states))).astype(int)
     )
     first = trace.states[0].markers
     lo = first.min(axis=0)

@@ -21,9 +21,6 @@ from scipy.spatial import ConvexHull
 
 from .icosphere import sphere_cells, sphere_mesh, split4
 
-# points closer than this (relative to diameter) to a facet boundary count as on it
-BOUNDARY_REL_TOL = 1e-9
-
 
 class GeometryError(Exception):
     """Base class for body and node-set construction failures."""
@@ -113,15 +110,49 @@ def _vertex_diameter(v: np.ndarray) -> float:
     return float(np.sqrt((d * d).sum(axis=2)).max())
 
 
+def _surface_tol(body: ConvexBody) -> float:
+    """Distance (1e-9 of the diameter) within which a point counts as on a
+    surface, a facet plane or a facet boundary."""
+    return 1e-9 * body.diameter()
+
+
+def _signed_area(v: np.ndarray) -> float:
+    """Shoelace area of a closed polygon, positive for counter-clockwise order."""
+    w = np.roll(v, -1, axis=0)
+    return float(0.5 * np.sum(v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]))
+
+
+class _Polytope:
+    """Members shared by polygons and hulls: facet planes, diameter, membership."""
+
+    is_polytope = True
+
+    @property
+    def facet_normals(self) -> np.ndarray:
+        return self._normals
+
+    @property
+    def facet_offsets(self) -> np.ndarray:
+        return self._offsets
+
+    def diameter(self) -> float:
+        return self._diameter
+
+    def contains(self, points) -> np.ndarray:
+        points = np.asarray(points, dtype=float)
+        pts = np.atleast_2d(points)
+        inside = np.all(pts @ self.facet_normals.T < self.facet_offsets, axis=1)
+        return inside if points.ndim > 1 else bool(inside[0])
+
+
 @dataclass(frozen=True)
-class Polygon2D:
+class Polygon2D(_Polytope):
     """Strictly convex planar polygon, vertices in counter-clockwise order."""
 
     vertices: np.ndarray
 
     n = 1
     dim = 2
-    is_polytope = True
 
     def __post_init__(self):
         v = np.array(self.vertices, dtype=float, order="C")
@@ -144,37 +175,18 @@ class Polygon2D:
     def edge_lengths(self) -> np.ndarray:
         return self._edge_lengths
 
-    @property
-    def facet_normals(self) -> np.ndarray:
-        return self._normals
-
-    @property
-    def facet_offsets(self) -> np.ndarray:
-        return self._offsets
-
     def perimeter(self) -> float:
         return float(self.edge_lengths.sum())
 
     def area(self) -> float:
-        v = self.vertices
-        w = np.roll(v, -1, axis=0)
-        return float(0.5 * np.sum(v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]))
-
-    def diameter(self) -> float:
-        return self._diameter
-
-    def contains(self, points) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        pts = np.atleast_2d(points)
-        inside = np.all(pts @ self.facet_normals.T < self.facet_offsets, axis=1)
-        return inside if points.ndim > 1 else bool(inside[0])
+        return _signed_area(self.vertices)
 
     def scaled(self, lam: float) -> "Polygon2D":
         return Polygon2D(self.vertices * lam)
 
 
 @dataclass(frozen=True)
-class Hull3D:
+class Hull3D(_Polytope):
     """Convex triangulated surface; faces are outward-oriented vertex triples."""
 
     vertices: np.ndarray
@@ -182,7 +194,6 @@ class Hull3D:
 
     n = 2
     dim = 3
-    is_polytope = True
 
     def __post_init__(self):
         v = np.array(self.vertices, dtype=float, order="C")
@@ -218,16 +229,8 @@ class Hull3D:
         return self._inward
 
     @property
-    def facet_normals(self) -> np.ndarray:
-        return self._normals
-
-    @property
     def face_areas(self) -> np.ndarray:
         return self._areas
-
-    @property
-    def facet_offsets(self) -> np.ndarray:
-        return self._offsets
 
     def perimeter(self) -> float:
         return float(self.face_areas.sum())
@@ -239,15 +242,6 @@ class Hull3D:
             np.sum(self.face_areas * np.einsum("ij,ij->i", centroids, self.facet_normals))
             / 3.0
         )
-
-    def diameter(self) -> float:
-        return self._diameter
-
-    def contains(self, points) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        pts = np.atleast_2d(points)
-        inside = np.all(pts @ self.facet_normals.T < self.facet_offsets, axis=1)
-        return inside if points.ndim > 1 else bool(inside[0])
 
     def scaled(self, lam: float) -> "Hull3D":
         return Hull3D(self.vertices * lam, self.faces)
@@ -324,7 +318,7 @@ def _validate_polygon(vertices) -> Polygon2D:
     scale = float(np.abs(v - v.mean(axis=0)).max())
     if scale == 0.0:
         raise DegenerateError("polygon has zero extent")
-    signed = 0.5 * np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1])
+    signed = _signed_area(v)
     if signed < 0:
         v = v[::-1].copy()
     v = _merge_collinear(v, 1e-12 * scale, 1e-12 * scale * scale)
@@ -503,38 +497,14 @@ def surface_quadrature(body: ConvexBody, resolution: int) -> SurfaceQuadrature:
     """
     if isinstance(body, Polygon2D):
         if resolution < body.edge_count:
-            raise ResolutionTooLowError(
-                f"need at least one node per edge ({body.edge_count})"
-            )
+            raise ResolutionTooLowError(f"need at least one node per edge ({body.edge_count})")
         lengths = body.edge_lengths
-        counts = np.maximum(
-            1, np.round(resolution * lengths / lengths.sum()).astype(int)
-        )
-        pts, nrms, wts, fids, spac, patches = [], [], [], [], [], []
-        normals = body.facet_normals
-        verts = body.vertices
-        nxt = np.roll(verts, -1, axis=0)
-        for e in range(body.edge_count):
-            m = counts[e]
-            t0 = np.arange(m) / m
-            t1 = (np.arange(m) + 1) / m
-            a = verts[e] + np.outer(t0, nxt[e] - verts[e])
-            b = verts[e] + np.outer(t1, nxt[e] - verts[e])
-            pts.append((a + b) / 2)
-            nrms.append(np.tile(normals[e], (m, 1)))
-            wts.append(np.full(m, lengths[e] / m))
-            fids.append(np.full(m, e, dtype=int))
-            spac.append(np.full(m, lengths[e] / m))
-            patches.append(np.stack([a, b], axis=1))
+        counts = np.maximum(1, np.round(resolution * lengths / lengths.sum()).astype(int))
+        edge, a, b = _edge_pieces(body, counts)
+        h = lengths[edge] / counts[edge]
         return SurfaceQuadrature(
-            body,
-            np.concatenate(pts),
-            np.concatenate(nrms),
-            np.concatenate(wts),
-            np.concatenate(fids),
-            np.concatenate(spac),
-            np.concatenate(patches),
-        )
+            body, (a + b) / 2, body.facet_normals[edge], h, edge, h.copy(),
+            np.stack([a, b], axis=1))
 
     if isinstance(body, Ball) and body.dim == 2:
         if resolution < 8:
@@ -591,6 +561,20 @@ def surface_quadrature(body: ConvexBody, resolution: int) -> SurfaceQuadrature:
         _triangle_diameters(patches),
         patches,
     )
+
+
+def _edge_pieces(body: Polygon2D, counts: np.ndarray):
+    """Each edge e cut into counts[e] equal pieces, in edge order.
+
+    Returns every piece's edge index and its ends a = v_e + (k/m) d_e and
+    b = v_e + ((k+1)/m) d_e, for piece k of m on the edge from vertex v_e
+    along d_e.
+    """
+    edge = np.repeat(np.arange(body.edge_count), counts)
+    m = counts[edge]
+    k = np.arange(len(edge)) - np.repeat(np.cumsum(counts) - counts, counts)
+    v, d = body.vertices[edge], body.edges[edge]
+    return edge, v + (k / m)[:, None] * d, v + ((k + 1) / m)[:, None] * d
 
 
 def _triangle_diameters(tris):
@@ -663,9 +647,9 @@ def matching_radius(quad: SurfaceQuadrature, x: np.ndarray, target: float) -> fl
         raise TargetOutOfRangeError(
             f"target {target} outside (0, {total}] for this node set"
         )
-    lo, hi = 0.0, quad.body.diameter() * 1.0000001
-    if ball_patch_measure(quad, x, hi) < target:
-        hi = quad.body.diameter() * 2.0
+    # every node lies within hi of x, on the body or off it
+    far = float(np.linalg.norm(quad.points - np.asarray(x, dtype=float), axis=1).max())
+    lo, hi = 0.0, max(quad.body.diameter() * 1.0000001, far)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if ball_patch_measure(quad, x, mid) >= target:
@@ -719,7 +703,7 @@ def sphere_cap_measure(body: ConvexBody, x: np.ndarray, radius: float) -> float:
     if isinstance(body, Hull3D):
         _, _, whole, inside = _triangle_pieces(
             body.face_corners, body.facet_normals, body.facet_offsets, x, radius,
-            BOUNDARY_REL_TOL * body.diameter())
+            _surface_tol(body))
         return float(radius**2 * (whole - inside).sum())
     return float(radius * _disk_polygon_pieces(body.vertices - x, body.edges, np.array(radius))[1])
 
@@ -797,7 +781,7 @@ def ball_intersection_volume(
         return float((radius * cap + surface) / 3.0)
     h, area, _, _ = _triangle_pieces(
         body.face_corners, body.facet_normals, body.facet_offsets, x, radius,
-        BOUNDARY_REL_TOL * body.diameter())
+        _surface_tol(body))
     return float((radius * cap + h @ area) / 3.0)
 
 

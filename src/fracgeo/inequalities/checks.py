@@ -74,14 +74,13 @@ def check_gauss_law(
     quad: SurfaceQuadrature,
     node_indices,
     rel_tolerance: float = 0.01,
-    name: str = "gauss-law",
 ) -> InequalityReport:
     """Unrestricted solid-angle sum equals half the sphere at every point."""
     target = SPHERE_MEASURE[body.n] / 2.0
     devs = [abs(double_layer(quad, int(i)) - target) for i in node_indices]
     worst = float(np.max(devs))
     return InequalityReport(
-        name=name,
+        name="gauss-law",
         lhs=worst,
         rhs=rel_tolerance * target,
         tolerance=rel_tolerance * target,
@@ -249,14 +248,11 @@ def check_perimeter_growth(
         slack = patch - bound
         if slack > worst:
             worst, worst_r = slack, r
-    tol = float(quad.weights.max())
-    return InequalityReport(
-        name="patch-growth-bound",
-        lhs=worst,
-        rhs=0.0,
-        tolerance=tol,
-        passed=bool(worst <= tol),
-        margin=-worst,
+    return bound_report(
+        "patch-growth-bound",
+        worst,
+        0.0,
+        float(quad.weights.max()),
         constant_used=SPHERE_MEASURE[n],
         constant_provenance="paper-explicit",
         params={"n": n},
@@ -436,15 +432,13 @@ def check_flat_subset_bound(
     )
 
 
-def ball_cells(n: int, h: float, rho: float, center_cell=None) -> np.ndarray:
-    """Grid cells whose centers fall in a ball of radius rho."""
+def ball_cells(n: int, h: float, rho: float) -> np.ndarray:
+    """Grid cells whose centers fall in a ball of radius rho about cell 0's."""
     span = int(np.ceil(rho / h)) + 1
-    base = np.zeros(n, dtype=int) if center_cell is None else np.asarray(center_cell)
-    axes = [np.arange(base[k] - span, base[k] + span + 1) for k in range(n)]
+    axes = [np.arange(-span, span + 1)] * n
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
     centers = (grid + 0.5) * h
-    x = (base + 0.5) * h
-    return grid[np.linalg.norm(centers - x, axis=1) <= rho]
+    return grid[np.linalg.norm(centers - 0.5 * h, axis=1) <= rho]
 
 
 # ---------------------------------------------------------------------------
@@ -490,35 +484,26 @@ def check_slicing_inequality(
     n, s, p = params.n, params.s, params.p
     sp = params.sp
     q = (n - sp) / n
-    a0 = seq.term(seq.start)
-    i0, cut = seq.start, seq.cutoff
-
-    def a(i):
-        return seq.term(i)
-
+    a, i0, cut = seq.term, seq.start, seq.cutoff
     # left tails are geometric because the sequence is constant there
-    lhs = a0**q * geometric_tail(p, i0 - 1) if a0 > 0 else 0.0
-    lhs += sum(2.0 ** (p * i) * a(i) ** q for i in range(i0, cut) if a(i) > 0)
-    main = a0**q * geometric_tail(p, i0 - 1) if a0 > 0 else 0.0
-    main += sum(
+    left = a(i0) ** q * geometric_tail(p, i0 - 1) if a(i0) > 0 else 0.0
+    lhs = left + sum(2.0 ** (p * i) * a(i) ** q for i in range(i0, cut) if a(i) > 0)
+    main = left + sum(
         2.0 ** (p * i) * a(i) ** (-sp / n) * a(i + 1)
         for i in range(i0, cut)
         if a(i) > 0
     )
     rhs = 2.0**params.p_star * main
-    aux_lhs = a0**q * geometric_tail(p, i0 - 1) if a0 > 0 else 0.0
-    aux_lhs += sum(
+    aux_lhs = left + sum(
         2.0 ** (p * i) * a(i - 1) ** (-sp / n) * a(i + 1)
         for i in range(i0, cut + 1)
         if a(i - 1) > 0
     )
-    aux_rhs = a0**q * geometric_tail(p, i0 - 1) if a0 > 0 else 0.0
-    aux_rhs += sum(
+    aux_rhs = 0.5 * (left + sum(
         2.0 ** (p * i) * a(i - 1) ** (-sp / n) * a(i)
         for i in range(i0, cut + 1)
         if a(i - 1) > 0
-    )
-    aux_rhs *= 0.5
+    ))
     scale = max(abs(lhs), abs(rhs), 1e-300)
     aux_scale = max(abs(aux_lhs), abs(aux_rhs), 1e-300)
     passed = (lhs <= rhs + rel_tolerance * scale) and (

@@ -25,8 +25,8 @@ def regular_polygon(k: int, radius: float = 1.0, phase: float = 0.0) -> Polygon2
     return make_body({"type": "polygon", "vertices": verts})
 
 
-def disk_polygon(k: int = 512, radius: float = 1.0) -> Polygon2D:
-    return regular_polygon(k, radius)
+def disk_polygon(k: int = 512) -> Polygon2D:
+    return regular_polygon(k)
 
 
 def rectangle(width: float, height: float) -> Polygon2D:
@@ -41,8 +41,8 @@ def box3d(a: float, b: float, c: float) -> ConvexBody:
     return make_body({"type": "hull3d", "vertices": verts})
 
 
-def random_ellipse_polygon(rng: np.random.Generator, k_lo=12, k_hi=48) -> Polygon2D:
-    k = int(rng.integers(k_lo, k_hi + 1))
+def random_ellipse_polygon(rng: np.random.Generator) -> Polygon2D:
+    k = int(rng.integers(12, 49))
     angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=k))
     # reject clusters that would produce near-duplicate vertices
     while np.min(np.diff(np.concatenate([angles, [angles[0] + 2 * np.pi]]))) < 1e-3:
@@ -56,14 +56,14 @@ def random_ellipse_polygon(rng: np.random.Generator, k_lo=12, k_hi=48) -> Polygo
     return make_body({"type": "polygon", "vertices": pts})
 
 
-def random_box2d(rng: np.random.Generator, max_aspect: float = 100.0) -> Polygon2D:
+def random_box2d(rng: np.random.Generator) -> Polygon2D:
     width = rng.uniform(0.5, 2.0)
-    aspect = np.exp(rng.uniform(0.0, np.log(max_aspect)))
+    aspect = np.exp(rng.uniform(0.0, np.log(100.0)))
     return rectangle(width, width / aspect)
 
 
-def random_hull3d(rng: np.random.Generator, m_lo=16, m_hi=40) -> ConvexBody:
-    m = int(rng.integers(m_lo, m_hi + 1))
+def random_hull3d(rng: np.random.Generator) -> ConvexBody:
+    m = int(rng.integers(16, 41))
     dirs = rng.normal(size=(m, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     axes = np.array([rng.uniform(0.6, 1.6), rng.uniform(0.4, 1.2), rng.uniform(0.3, 1.0)])

@@ -37,6 +37,7 @@ from .geometry import (
     boundary_distance,
     circle_crossings,
     _solid_angle,
+    _surface_tol,
     _triangle_pieces,
 )
 
@@ -82,12 +83,8 @@ class CurvatureValue:
     overflow: bool = False
 
 
-def _on_surface_tol(body: ConvexBody) -> float:
-    return 1e-9 * body.diameter()
-
-
 def _require_on_surface(body: ConvexBody, x: np.ndarray):
-    tol = _on_surface_tol(body)
+    tol = _surface_tol(body)
     if isinstance(body, Ball):
         if abs(np.linalg.norm(x - body.center) - body.radius) > tol:
             raise NonInteriorPointError("point is not on the sphere")
@@ -116,7 +113,7 @@ def halpha_chord(
     Params(body.n, alpha)  # rejects alpha outside (0, 1)
     x = np.asarray(x, dtype=float)
     _require_on_surface(body, x)
-    if normal is None and body.is_polytope and boundary_distance(body, x) < _on_surface_tol(body):
+    if normal is None and body.is_polytope and boundary_distance(body, x) < _surface_tol(body):
         return CurvatureValue(x, np.inf, "chord", np.nan, overflow=True)
     values, errors = _chord_values(body, x[None], alpha)
     return CurvatureValue(x, float(values[0]), "chord", float(errors[0]))
@@ -135,7 +132,7 @@ def _chord_values(body: ConvexBody, points: np.ndarray, alpha: float):
         return np.full(len(points), value), np.zeros(len(points))
     # a polygon sums the shares of the edges x is not on (at a vertex,
     # neither incident edge)
-    far = body.facet_offsets - points @ body.facet_normals.T > _on_surface_tol(body)
+    far = body.facet_offsets - points @ body.facet_normals.T > _surface_tol(body)
     node, edge = np.nonzero(far)
     ends = np.roll(body.vertices, -1, axis=0)
     shares = _segment_shares(
@@ -168,7 +165,7 @@ def _hull_halpha(body: Hull3D, points: np.ndarray, alpha: float):
     inward = body.edge_normals.reshape(-1, 3)
     tangents = body.edge_tangents.reshape(-1, 3)
     lengths = body.edge_lengths.reshape(-1)
-    tol, k = _on_surface_tol(body), 0.5 * (1.0 + alpha)
+    tol, k = _surface_tol(body), 0.5 * (1.0 + alpha)
     values, errors = np.zeros(len(points)), np.zeros(len(points))
     step = max(1, NODE_BATCH // len(offsets))
     for first in range(0, len(points), step):
@@ -252,7 +249,7 @@ def _resolve_node(quad: SurfaceQuadrature, x) -> tuple[np.ndarray, Optional[int]
     pt = np.asarray(x, dtype=float)
     d = np.linalg.norm(quad.points - pt, axis=1)
     idx = int(np.argmin(d))
-    if d[idx] <= _on_surface_tol(quad.body):
+    if d[idx] <= _surface_tol(quad.body):
         return quad.points[idx], idx
     if quad.body.is_polytope:
         _require_on_surface(quad.body, pt)
@@ -331,7 +328,7 @@ def _hull_cell_angle(quad, x, include, within):
     pt, _ = _resolve_node(quad, x)
     active = slice(None) if include is None else np.asarray(include, dtype=bool)
     cells, ids = quad.patches[active], quad.facet_ids[active]
-    flat = _on_surface_tol(body)
+    flat = _surface_tol(body)
     if within is None:
         h = (body.facet_offsets - body.facet_normals @ pt)[ids]
         c = cells - pt
@@ -511,9 +508,8 @@ def frac_perimeter(subset: NodeSubset, s: float) -> float:
     Summed over unordered mixed pairs in index order, so a set and its
     complement give the identical float.
     """
-    if not 0.0 < s < 1.0:
-        raise GeometryError(f"s must lie in (0,1), got {s}")
     quad = subset.quadrature
+    Params(quad.n, s=s)  # rejects s outside (0, 1)
     mat = interaction_matrix(quad, quad.n + s)
     return float(mat[pdist(subset.mask[:, None], "cityblock") > 0.0].sum())
 
@@ -523,11 +519,8 @@ def gagliardo(field: ScalarField, s: float, p: float) -> float:
 
     Twice the sum over pairs i < j of `interaction_matrix` times |u_i - u_j|^p.
     """
-    if not 0.0 < s < 1.0:
-        raise GeometryError(f"s must lie in (0,1), got {s}")
-    if p < 1.0:
-        raise GeometryError(f"p must be >= 1, got {p}")
     quad = field.quadrature
+    Params(quad.n, s=s, p=p)  # rejects s outside (0, 1) and p below 1
     mat = interaction_matrix(quad, quad.n + s * p)
     return 2.0 * float((mat * pdist(field.values[:, None], "cityblock") ** p).sum())
 

@@ -86,8 +86,6 @@ def graded_half_rule(alpha: float, resolution: int):
     entry cone (polygon corners). Surfaces need no direction rule: their
     chord form is integrated exactly (`nonlocal_ops.halpha_chord`).
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0,1)")
     m_half = max(resolution // 2, 8)
     nodes, widths = graded_interval(alpha, m_half, np.pi / 2.0)
     edges = np.concatenate([[0.0], np.cumsum(widths)])

@@ -179,6 +179,55 @@ def marker_rule_sum(markers, alpha: float):
 
 
 # ---------------------------------------------------------------------------
+# polygon node sets and flow markers, edge by edge
+
+
+def polygon_nodes_per_edge(body, resolution: int):
+    """A polygon's node set built one edge at a time: points, normals,
+    weights, facet ids, spacings and patches.
+
+    Edge e gets max(1, round(resolution * length_e / perimeter)) equal
+    pieces; each piece's node is its midpoint and its patch its two ends.
+    """
+    lengths = body.edge_lengths
+    counts = np.maximum(1, np.round(resolution * lengths / lengths.sum()).astype(int))
+    verts, nxt = body.vertices, np.roll(body.vertices, -1, axis=0)
+    pts, nrms, wts, fids, spac, patches = [], [], [], [], [], []
+    for e in range(body.edge_count):
+        m = counts[e]
+        a = verts[e] + np.outer(np.arange(m) / m, nxt[e] - verts[e])
+        b = verts[e] + np.outer((np.arange(m) + 1) / m, nxt[e] - verts[e])
+        pts.append((a + b) / 2)
+        nrms.append(np.tile(body.facet_normals[e], (m, 1)))
+        wts.append(np.full(m, lengths[e] / m))
+        fids.append(np.full(m, e, dtype=int))
+        spac.append(np.full(m, lengths[e] / m))
+        patches.append(np.stack([a, b], axis=1))
+    return tuple(np.concatenate(x) for x in (pts, nrms, wts, fids, spac, patches))
+
+
+def markers_per_edge(body, count: int):
+    """Flow markers on a polygon, one edge at a time: every vertex is a
+    marker, each edge gets at least one, and the rest go by length, the
+    largest fractional shares first."""
+    verts, lengths = body.vertices, body.edge_lengths
+    raw = count * lengths / lengths.sum()
+    per_edge = np.maximum(np.floor(raw).astype(int), 1)
+    while per_edge.sum() > count:
+        per_edge[int(np.argmax(per_edge))] -= 1
+    remainder = raw - per_edge
+    while per_edge.sum() < count:
+        k = int(np.argmax(remainder))
+        per_edge[k] += 1
+        remainder[k] = -np.inf
+    pieces = []
+    for i, k in enumerate(per_edge):
+        a, b = verts[i], verts[(i + 1) % len(verts)]
+        pieces.append(a + np.outer(np.arange(k) / k, b - a))
+    return np.concatenate(pieces, axis=0)
+
+
+# ---------------------------------------------------------------------------
 # one 4-split of a node's cell, cell by cell
 
 # children of the corners c0, c1, c2 and edge midpoints m01, m12, m20

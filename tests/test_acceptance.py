@@ -394,7 +394,7 @@ def test_criterion_09_shrinking_front():
         np.log(lams), np.log([t.t_star_num for t in lam_traces]), 1
     )[0])
 
-    fv = check_first_variation(default_trace, rel_tolerance=0.05)
+    fv = check_first_variation(default_trace)
 
     square = flow(load_fixture("square"), 0.5, FlowOptions(markers=64))
     rect = flow(load_fixture("thinrect"), 0.5, FlowOptions(markers=64))

@@ -106,6 +106,21 @@ def test_alpha_outside_the_unit_interval_exits_2(body, form, capsys):
         assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["halpha", "--body", "square", "--count", "0"],
+    ["halpha", "--body", "square", "--count", "-2"],
+    ["flow", "--body", "ball2d", "--markers", "16", "--report-states", "0"],
+    ["flow", "--body", "ball2d", "--markers", "16", "--resample-every", "0"],
+    ["verify", "--suite", "classical", "--seed", "-1"],
+    ["seminorm", "--body", "ball2d", "--seed", "-1"],
+], ids=lambda argv: " ".join([argv[0], *argv[-2:]]))
+def test_out_of_range_arguments_exit_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_unknown_fixture_exits_2(capsys):
     assert main(["halpha", "--body", "nosuchbody"]) == 2
     err = capsys.readouterr().err

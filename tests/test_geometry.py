@@ -25,6 +25,7 @@ from fracgeo.geometry import (
     surface_quadrature,
 )
 from fracgeo.fixtures import load_fixture
+from fracgeo.flow import sample_boundary
 from fracgeo.inequalities import corpus
 from fracgeo.icosphere import (
     icosahedron,
@@ -33,6 +34,8 @@ from fracgeo.icosphere import (
     spherical_triangle_areas,
     split4,
 )
+
+import oracles
 
 
 def unit_square() -> Polygon2D:
@@ -336,6 +339,35 @@ def test_square_quadrature_exact_total():
     assert quad.total_measure() == pytest.approx(4.0, abs=1e-12)
 
 
+LAYOUT_BODIES = ["square", "thinrect", "disk-512gon"] + [
+    f"{kind}-{i}" for kind in ("ellipse", "box") for i in range(20)
+]
+
+
+def layout_body(name):
+    kind, _, i = name.partition("-")
+    if not i:
+        return load_fixture(name)
+    if kind == "disk":
+        return corpus.disk_polygon(512)
+    rng = np.random.default_rng([int(i), 23])
+    return corpus.random_ellipse_polygon(rng) if kind == "ellipse" else corpus.random_box2d(rng)
+
+
+@pytest.mark.parametrize("name", LAYOUT_BODIES)
+def test_polygon_layouts_match_the_per_edge_loops(name):
+    # node sets and flow markers cut edges with one vectorized sampler
+    body = layout_body(name)
+    k = body.edge_count
+    for count in (k, 3 * k + 1, 40 * k):
+        quad = surface_quadrature(body, count)
+        got = (quad.points, quad.normals, quad.weights, quad.facet_ids, quad.spacings,
+               quad.patches)
+        for mine, ref in zip(got, oracles.polygon_nodes_per_edge(body, count), strict=True):
+            assert mine.dtype == ref.dtype and np.array_equal(mine, ref)
+        assert np.array_equal(sample_boundary(body, count), oracles.markers_per_edge(body, count))
+
+
 def test_icosahedron_normals_point_outward():
     quad = surface_quadrature(load_fixture("icosa"), 40)
     centroid = quad.points.mean(axis=0)
@@ -422,6 +454,15 @@ def test_matching_radius_inverts_patch_measure():
                 continue
             r = matching_radius(quad, x, m)
             assert abs(ball_patch_measure(quad, x, r) - m) <= quad.weights.max() + 1e-12
+
+
+def test_matching_radius_reaches_nodes_off_the_body():
+    # nodes more than twice the diameter away still fall inside the bracket
+    quad = surface_quadrature(regular_polygon(64), 64)
+    for x in ([10.0, 0.0], [0.0, -3.5], [2.5, 2.5], [0.1, 0.2]):
+        for target in (0.5, np.pi, quad.total_measure()):
+            r = matching_radius(quad, x, target)
+            assert ball_patch_measure(quad, x, r) >= target
 
 
 def test_cap_measure_half_plane_limit():
