@@ -71,8 +71,8 @@ class Params:
             raise ParamError(f"alpha must lie in (0,1), got {self.alpha}")
         if not 0.0 < self.s < 1.0:
             raise ParamError(f"s must lie in (0,1), got {self.s}")
-        if self.p < 1.0:
-            raise ParamError(f"p must be >= 1, got {self.p}")
+        if not 1.0 <= self.p < np.inf:
+            raise ParamError(f"p must be finite and >= 1, got {self.p}")
 
     @property
     def sp(self) -> float:
@@ -647,12 +647,12 @@ def matching_radius(quad: SurfaceQuadrature, x: np.ndarray, target: float) -> fl
         raise TargetOutOfRangeError(
             f"target {target} outside (0, {total}] for this node set"
         )
+    d = np.linalg.norm(quad.points - np.asarray(x, dtype=float), axis=1)
     # every node lies within hi of x, on the body or off it
-    far = float(np.linalg.norm(quad.points - np.asarray(x, dtype=float), axis=1).max())
-    lo, hi = 0.0, max(quad.body.diameter() * 1.0000001, far)
+    lo, hi = 0.0, max(quad.body.diameter() * 1.0000001, float(d.max()))
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if ball_patch_measure(quad, x, mid) >= target:
+        if quad.weights[d <= mid].sum() >= target:
             hi = mid
         else:
             lo = mid
@@ -812,18 +812,21 @@ def _turn(u, w):
     return np.arctan2(_cross2(u, w), np.vecdot(u, w))
 
 
-def projection_measure(body: ConvexBody, sigma: np.ndarray) -> float:
+def projection_measure(body: ConvexBody, sigma: np.ndarray):
     """Measure of the body's shadow on the hyperplane orthogonal to sigma.
 
     Polytopes only: half the facet measures weighted by |<facet normal, sigma>|,
-    which double-counts the shadow once from each side.
+    which double-counts the shadow once from each side. A (k, d) array of
+    directions gives one shadow per row.
     """
     if not getattr(body, "is_polytope", False):
         raise NotPolytopeError("shadow formula needs a facetted body")
     sigma = np.asarray(sigma, dtype=float)
-    sigma = sigma / np.linalg.norm(sigma)
+    dirs = np.atleast_2d(sigma)
+    dirs = dirs / _norms(dirs)[:, None]
     if isinstance(body, Polygon2D):
         measures = body.edge_lengths
     else:
         measures = body.face_areas
-    return float(0.5 * np.sum(measures * np.abs(body.facet_normals @ sigma)))
+    shadows = 0.5 * np.sum(measures * np.abs(dirs @ body.facet_normals.T), axis=1)
+    return shadows if sigma.ndim > 1 else float(shadows[0])

@@ -37,21 +37,8 @@ class InequalityReport:
     details: dict = field(default_factory=dict)
 
     def to_record(self) -> dict:
-        return {
-            "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "tolerance": self.tolerance,
-            "passed": bool(self.passed),
-            "margin": self.margin,
-            "constant_used": self.constant_used,
-            "constant_provenance": self.constant_provenance,
-            "params": self.params,
-            "resolution": self.resolution,
-            "seed": self.seed,
-            "estimated_error": self.estimated_error,
-            "details": self.details,
-        }
+        # a shallow copy: `dataclasses.asdict` deep-copies params and details
+        return dict(vars(self))
 
 
 def bound_report(name, lhs, rhs, tolerance, **kw) -> InequalityReport:
@@ -69,14 +56,13 @@ def bound_report(name, lhs, rhs, tolerance, **kw) -> InequalityReport:
 
 
 def fit_constant(reports) -> tuple[list[InequalityReport], float]:
-    """Fit one constant over bound reports made with constant 1.0.
+    """Fit one constant over bound reports whose rhs is the bound at constant 1.
 
     c is the largest lhs/rhs over reports with rhs > 1e-12, times 1 + 1e-9,
     or 0.0 when there is none. Each report is reissued with rhs and
-    tolerance scaled by c. For a check whose rhs is constant * term and
-    whose tolerance is zero (as every fitted check's is), this is the report
-    that rerunning it with constant c gives, float for float, so every
-    instance is evaluated once.
+    tolerance scaled by c and c as its constant. This is the one place a
+    fitted constant is applied: the fitted checks return their rhs at
+    constant 1 and zero tolerance, and each instance is evaluated once.
     """
     c = max((r.lhs / r.rhs for r in reports if r.rhs > 1e-12), default=0.0)
     c *= 1.0 + 1e-9

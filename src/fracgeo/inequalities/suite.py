@@ -9,8 +9,8 @@ the corpus into the checks with deterministic ordering, so a (section, seed,
 profile) triple pins the exact report stream.
 
 A bound whose constant the paper leaves unnamed is fitted over the run's own
-instances: each instance is evaluated once with constant 1.0, and
-`fit_constant` reissues those reports with the largest lhs/rhs as constant.
+instances: each check returns its rhs at constant 1, and `fit_constant`
+reissues those reports with the largest lhs/rhs as constant.
 """
 
 from __future__ import annotations
@@ -46,15 +46,11 @@ PROFILES = {
         slicing=1000, set_sobolev=40, function_sobolev=20,
         shadow_bodies=6, coarea_res={1: 192, 2: 80},
     ),
-    # "default" instance counts on surface meshes twice as fine; node-seeded
-    # randomness means the instances themselves differ from "default"
-    "fine": dict(
-        n1=10, n2=4, res={1: 192, 2: 160},
-        gauss_points=12, interpolation=18, localized=10, split=16,
-        growth=10, rearrangement=48, subset_bound=18, flat_random=24,
-        slicing=240, set_sobolev=16, function_sobolev=8,
-        shadow_bodies=5, coarea_res={1: 256, 2: 160},
-    ),
+}
+# "default" instance counts on surface meshes twice as fine; node-seeded
+# randomness means the instances themselves differ from "default"
+PROFILES["fine"] = {
+    **PROFILES["default"], "res": {1: 192, 2: 160}, "coarea_res": {1: 256, 2: 160},
 }
 
 
@@ -74,18 +70,13 @@ class _Context:
         self.named = corpus.body_corpus(seed, self.prof["n1"], self.prof["n2"])
         self._quads: dict[int, object] = {}
 
-    def body(self, i: int):
-        return self.named[i % len(self.named)][1]
-
-    def name(self, i: int) -> str:
-        return self.named[i % len(self.named)][0]
-
-    def quad(self, i: int):
+    def pick(self, i: int):
+        """Name and node set of corpus body i, the node set built once."""
         i = i % len(self.named)
+        name, body = self.named[i]
         if i not in self._quads:
-            body = self.named[i][1]
             self._quads[i] = surface_quadrature(body, self.prof["res"][body.n])
-        return self._quads[i]
+        return name, self._quads[i]
 
     def body_alpha(self, i: int) -> float:
         # one alpha per body, shared by every section, so each node set's
@@ -97,10 +88,8 @@ def _spread_indices(count: int, total: int) -> np.ndarray:
     return np.unique(np.linspace(0, count - 1, total).astype(int))
 
 
-def _tag(report: InequalityReport, seed: int, body_name=None) -> InequalityReport:
-    report.seed = seed
-    if body_name is not None:
-        report.details["body"] = body_name
+def _tag(report: InequalityReport, body_name: str) -> InequalityReport:
+    report.details["body"] = body_name
     return report
 
 
@@ -108,56 +97,35 @@ def _tag(report: InequalityReport, seed: int, body_name=None) -> InequalityRepor
 
 
 def _run_curvature(ctx: _Context) -> list[InequalityReport]:
-    prof, seed = ctx.prof, ctx.seed
+    prof = ctx.prof
     out = []
 
     # every unrestricted double layer is exact, so each law holds to rounding
     showcase = [
-        ("disk-512gon", corpus.disk_polygon(512), 1024),
-        ("icosahedron", icosahedron_body(), 1280),
-        (ctx.name(1), ctx.body(1), prof["res"][1]),
-        (ctx.name(prof["n1"]), ctx.body(prof["n1"]), prof["res"][2]),
+        ("disk-512gon", surface_quadrature(corpus.disk_polygon(512), 1024)),
+        ("icosahedron", surface_quadrature(icosahedron_body(), 1280)),
+        ctx.pick(1),
+        ctx.pick(prof["n1"]),
     ]
-    for name, body, res in showcase:
-        quad = surface_quadrature(body, res)
+    for name, quad in showcase:
         pts = _spread_indices(quad.node_count, prof["gauss_points"])
-        out.append(_tag(checks.check_gauss_law(body, quad, pts, 1e-9), seed, name))
+        out.append(_tag(checks.check_gauss_law(quad, pts), name))
 
-    rng = np.random.default_rng([seed, 11])
+    rng = np.random.default_rng([ctx.seed, 11])
     kinds = ("cap", "cap", "rand")
     for i in range(prof["interpolation"]):
-        quad = ctx.quad(i)
-        body, name = ctx.body(i), ctx.name(i)
+        name, quad = ctx.pick(i)
         anchor = int(rng.integers(quad.node_count))
         subset = corpus.random_subset(rng, quad, anchor, kind=kinds[i % 3])
-        out.append(
-            _tag(
-                checks.check_curvature_interpolation(
-                    body, quad, subset, anchor, ALPHAS[i % 3]
-                ),
-                seed,
-                name,
-            )
-        )
+        rep = checks.check_curvature_interpolation(quad, subset, anchor, ALPHAS[i % 3])
+        out.append(_tag(rep, name))
 
     for i in range(len(ctx.named)):
-        body, quad, name = ctx.body(i), ctx.quad(i), ctx.name(i)
+        name, quad = ctx.pick(i)
         alpha = ctx.body_alpha(i)
-        out.append(
-            _tag(
-                checks.check_pointwise_global(body, quad, alpha),
-                seed,
-                name,
-            )
-        )
+        out.append(_tag(checks.check_pointwise_global(quad, alpha), name))
         s = ALPHAS[(i + 1) % 3]
-        out.append(
-            _tag(
-                checks.check_integral_bound(body, quad, alpha, s),
-                seed,
-                name,
-            )
-        )
+        out.append(_tag(checks.check_integral_bound(quad, alpha, s), name))
     return out
 
 
@@ -170,56 +138,49 @@ def _run_localized(ctx: _Context) -> list[InequalityReport]:
     rng = np.random.default_rng([seed, 21])
     spread = np.linspace(0, len(ctx.named) - 1, prof["localized"]).round().astype(int)
     for i in spread:
-        body, quad, name = ctx.body(i), ctx.quad(i), ctx.name(i)
+        name, quad = ctx.pick(i)
         xi = int(rng.integers(quad.node_count))
-        radius = float(rng.uniform(0.15, 0.75)) * body.diameter()
-        out.append(
-            _tag(checks.check_localized_identity(body, quad, xi, radius, 1e-9), seed, name)
-        )
+        radius = float(rng.uniform(0.15, 0.75)) * quad.body.diameter()
+        out.append(_tag(checks.check_localized_identity(quad, xi, radius), name))
 
     # ball-split bound, fitted first: the subset bound below takes c_split
     rng = np.random.default_rng([seed, 31])
     split = []
     for i in range(prof["split"]):
-        body, quad, name = ctx.body(i), ctx.quad(i), ctx.name(i)
+        name, quad = ctx.pick(i)
         xi = int(rng.integers(quad.node_count))
-        radius = float(rng.uniform(0.15, 0.45)) * body.diameter()
-        rep = checks.check_reverse_isoperimetric(body, quad, xi, radius, 1.0)
-        split.append(_tag(rep, seed, name))
+        radius = float(rng.uniform(0.15, 0.45)) * quad.body.diameter()
+        split.append(_tag(checks.check_reverse_isoperimetric(quad, xi, radius), name))
     split, c_split = fit_constant(split)
     out.extend(split)
 
     rng = np.random.default_rng([seed, 41])
     for i in range(prof["growth"]):
-        body, quad, name = ctx.body(i), ctx.quad(i), ctx.name(i)
+        name, quad = ctx.pick(i)
         xi = int(rng.integers(quad.node_count))
-        radii = np.geomspace(0.05, 1.1, 8) * (body.diameter() / 2.0)
-        out.append(
-            _tag(checks.check_perimeter_growth(body, quad, xi, radii), seed, name)
-        )
+        radii = np.geomspace(0.05, 1.1, 8) * (quad.body.diameter() / 2.0)
+        out.append(_tag(checks.check_perimeter_growth(quad, xi, radii), name))
 
     rng = np.random.default_rng([seed, 51])
     kinds = ("cap", "rand", "cap")
     for i in range(prof["rearrangement"]):
-        quad, name = ctx.quad(i), ctx.name(i)
+        name, quad = ctx.pick(i)
         anchor = int(rng.integers(quad.node_count))
         subset = corpus.random_subset(rng, quad, anchor, kind=kinds[i % 3])
         sp = ALPHAS[i % 3]
-        out.append(
-            _tag(checks.check_rearrangement(quad, subset, anchor, sp), seed, name)
-        )
+        out.append(_tag(checks.check_rearrangement(quad, subset, anchor, sp), name))
 
     rng = np.random.default_rng([seed, 55])
     subset_reports = []
     for i in range(prof["subset_bound"]):
-        quad, name = ctx.quad(i), ctx.name(i)
+        name, quad = ctx.pick(i)
         anchor = int(rng.integers(quad.node_count))
         subset = corpus.random_subset(rng, quad, anchor, kind=kinds[i % 3])
         s, p = SP_GRID[i % len(SP_GRID)]
         rep = checks.check_pointwise_subset(
-            quad, subset, anchor, ctx.body_alpha(i), s, p, 1.0, c_split
+            quad, subset, anchor, ctx.body_alpha(i), s, p, c_split
         )
-        subset_reports.append(_tag(rep, seed, name))
+        subset_reports.append(_tag(rep, name))
     out.extend(fit_constant(subset_reports)[0])
 
     # grid cell unions: balls saturate the bound, random blobs sit inside it
@@ -229,38 +190,26 @@ def _run_localized(ctx: _Context) -> list[InequalityReport]:
         for alpha in ALPHAS:
             # balls saturate the bound; the staircase set can land a hair past it
             rep = checks.check_flat_subset_bound(n, alpha, h, cells, center, 1e-3)
-            out.append(_tag(rep, seed, f"grid-ball-{n}d"))
-            out.append(
-                _tag(
-                    checks.identity_report(
-                        "flat-subset-equality-case",
-                        rep.lhs,
-                        rep.rhs,
-                        1e-2,
-                        constant_used=rep.constant_used,
-                        constant_provenance="derived-closed-form",
-                        params={"n": n, "alpha": alpha},
-                        resolution=len(cells),
-                    ),
-                    seed,
-                    f"grid-ball-{n}d",
-                )
+            out.append(_tag(rep, f"grid-ball-{n}d"))
+            equality = checks.identity_report(
+                "flat-subset-equality-case",
+                rep.lhs,
+                rep.rhs,
+                1e-2,
+                constant_used=rep.constant_used,
+                constant_provenance="derived-closed-form",
+                params={"n": n, "alpha": alpha},
+                resolution=len(cells),
             )
+            out.append(_tag(equality, f"grid-ball-{n}d"))
     rng = np.random.default_rng([seed, 61])
     for i in range(prof["flat_random"]):
         n = 1 if i % 3 == 0 else 2
         cells = corpus.random_cell_union(rng, n, 60)
         x_cell = cells[int(rng.integers(len(cells)))]
         alpha = ALPHAS[i % 3]
-        out.append(
-            _tag(
-                checks.check_flat_subset_bound(
-                    n, alpha, 1.0, cells, x_cell, rel_tolerance=5e-3
-                ),
-                seed,
-                f"grid-union-{n}d",
-            )
-        )
+        rep = checks.check_flat_subset_bound(n, alpha, 1.0, cells, x_cell, 5e-3)
+        out.append(_tag(rep, f"grid-union-{n}d"))
     return out
 
 
@@ -283,18 +232,12 @@ def _run_functional(ctx: _Context) -> list[InequalityReport]:
             levels = 64 if kind == "cap" else 128
             rep = checks.check_coarea(field, s, levels=levels, rel_tolerance=tol)
             rep.details["field"] = kind
-            out.append(_tag(rep, seed, name))
+            out.append(_tag(rep, name))
 
     # the one-window sequence pins the closed forms before the random sweep
-    out.append(
-        _tag(
-            checks.check_slicing_inequality(
-                SlicingSequence(0, [1.0]), Params(2, s=0.5, p=1.0)
-            ),
-            seed,
-            "unit-window",
-        )
-    )
+    unit = SlicingSequence(0, [1.0])
+    out.append(_tag(checks.check_slicing_inequality(unit, Params(2, s=0.5, p=1.0)),
+                    "unit-window"))
     rng = np.random.default_rng([seed, 81])
     combos = [
         (n, s, p)
@@ -306,53 +249,42 @@ def _run_functional(ctx: _Context) -> list[InequalityReport]:
     for i in range(prof["slicing"]):
         n, s, p = combos[i % len(combos)]
         seq = corpus.random_slicing_sequence(rng)
-        out.append(
-            _tag(
-                checks.check_slicing_inequality(seq, Params(n, s=s, p=p)),
-                seed,
-                "random-sequence",
-            )
-        )
+        rep = checks.check_slicing_inequality(seq, Params(n, s=s, p=p))
+        out.append(_tag(rep, "random-sequence"))
 
     rng = np.random.default_rng([seed, 91])
     set_reports = []
     for k in range(prof["set_sobolev"]):
         i = (k * 5) % len(ctx.named)  # stride so solid bodies are hit too
-        body, quad, name = ctx.body(i), ctx.quad(i), ctx.name(i)
+        name, quad = ctx.pick(i)
         anchor = int(rng.integers(quad.node_count))
         subset = corpus.random_subset(rng, quad, anchor)
-        alpha = ctx.body_alpha(i)
-        hvals = checks.halpha_at_nodes(quad, alpha)
-        rep = checks.check_set_sobolev(
-            quad, subset, Params(body.n, s=ALPHAS[k % 3]), alpha, 1.0, hvals
-        )
-        set_reports.append(_tag(rep, seed, name))
+        params = Params(quad.n, s=ALPHAS[k % 3])
+        rep = checks.check_set_sobolev(quad, subset, params, ctx.body_alpha(i))
+        set_reports.append(_tag(rep, name))
     out.extend(fit_constant(set_reports)[0])
 
     rng = np.random.default_rng([seed, 101])
     fn_reports = []
     for k in range(prof["function_sobolev"]):
         i = (k * 5) % len(ctx.named)
-        body, quad, name = ctx.body(i), ctx.quad(i), ctx.name(i)
+        name, quad = ctx.pick(i)
         kind = ("cosine", "bump")[k % 2]
         values = corpus.field_values(rng, quad, kind)
         s, p = SP_GRID[k % len(SP_GRID)]
-        alpha = ctx.body_alpha(i)
-        hvals = checks.halpha_at_nodes(quad, alpha)
         rep = checks.check_function_sobolev(
-            ScalarField(quad, values), Params(body.n, s=s, p=p), alpha, 1.0, hvals
+            ScalarField(quad, values), Params(quad.n, s=s, p=p), ctx.body_alpha(i)
         )
         rep.details["field"] = kind
-        fn_reports.append(_tag(rep, seed, name))
+        fn_reports.append(_tag(rep, name))
     out.extend(fit_constant(fn_reports)[0])
     return out
 
 
 def _run_classical(ctx: _Context) -> list[InequalityReport]:
-    prof, seed = ctx.prof, ctx.seed
     out = []
 
-    rng = np.random.default_rng([seed, 111])
+    rng = np.random.default_rng([ctx.seed, 111])
     shadow_bodies = [
         ("square", corpus.rectangle(1.0, 1.0)),
         ("17gon", corpus.regular_polygon(17, 1.1)),
@@ -360,25 +292,22 @@ def _run_classical(ctx: _Context) -> list[InequalityReport]:
         ("box3d", corpus.box3d(0.8, 1.1, 0.6)),
         ("icosahedron", icosahedron_body()),
         ("hull3d", corpus.random_hull3d(rng)),
-    ][: prof["shadow_bodies"]]
+    ][: ctx.prof["shadow_bodies"]]
     rules = {1: sphere_rule(1, 720), 2: sphere_rule(2, 1152)}
     for name, body in shadow_bodies:
-        tol = 1e-3 if body.n == 1 else 1e-2
-        out.append(
-            _tag(checks.check_cauchy_formula(body, rules[body.n], tol), seed, name)
-        )
+        out.append(_tag(checks.check_cauchy_formula(body, rules[body.n]), name))
 
-    rng = np.random.default_rng([seed, 121])
-    for n, res, tol in ((1, 720, 1e-3), (2, 4608, 1e-2)):
+    rng = np.random.default_rng([ctx.seed, 121])
+    for n, res in ((1, 720), (2, 4608)):
         tau = rng.normal(size=n + 1)
         tau /= np.linalg.norm(tau)
-        out.append(_tag(checks.check_abs_cosine(n, sphere_rule(n, res), tau, tol), seed))
+        out.append(checks.check_abs_cosine(n, sphere_rule(n, res), tau))
 
     diam_bodies = [("disk-512gon", corpus.disk_polygon(512)), ("icosahedron", icosahedron_body())]
     diam_bodies += list(ctx.named)
     for name, body in diam_bodies:
-        out.append(_tag(checks.check_rosenthal_szasz(body), seed, name))
-        out.append(_tag(checks.check_isodiametric(body), seed, name))
+        out.append(_tag(checks.check_rosenthal_szasz(body), name))
+        out.append(_tag(checks.check_isodiametric(body), name))
     return out
 
 
@@ -401,4 +330,6 @@ def run_suite(section: str = "all", seed: int = 0, profile: str = "default"):
     reports: list[InequalityReport] = []
     for name in sections:
         reports.extend(_RUNNERS[name](ctx))
+    for rep in reports:
+        rep.seed = seed
     return reports

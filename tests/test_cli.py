@@ -113,6 +113,8 @@ def test_alpha_outside_the_unit_interval_exits_2(body, form, capsys):
     ["flow", "--body", "ball2d", "--markers", "16", "--resample-every", "0"],
     ["verify", "--suite", "classical", "--seed", "-1"],
     ["seminorm", "--body", "ball2d", "--seed", "-1"],
+    ["seminorm", "--body", "ball2d", "--p", "nan"],
+    ["seminorm", "--body", "ball2d", "--p", "inf"],
 ], ids=lambda argv: " ".join([argv[0], *argv[-2:]]))
 def test_out_of_range_arguments_exit_2(argv, capsys):
     assert main(argv) == 2

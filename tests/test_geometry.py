@@ -828,6 +828,9 @@ def test_square_shadows():
     assert projection_measure(sq, np.array([1.0, 0.0])) == pytest.approx(1.0, abs=1e-12)
     diag = np.array([1.0, 1.0]) / np.sqrt(2.0)
     assert projection_measure(sq, diag) == pytest.approx(np.sqrt(2.0), abs=1e-12)
+    # one shadow per row, each row normalised on its own
+    rows = projection_measure(sq, np.array([[2.0, 0.0], [1.0, 1.0]]))
+    np.testing.assert_allclose(rows, [1.0, np.sqrt(2.0)], rtol=0.0, atol=1e-12)
 
 
 def test_cube_axis_shadow():
