@@ -81,7 +81,7 @@ def _cmd_halpha(args, emit: _Emitter) -> int:
     for i in picks:
         x = quad.points[i]
         if args.form == "boundary":
-            value = halpha_boundary(body, quad, x, args.alpha).value
+            value = halpha_boundary(body, quad, i, args.alpha).value
         else:
             value = halpha_chord(body, x, args.alpha, normal=quad.normals[i]).value
         values.append(value)
@@ -148,13 +148,7 @@ def _cmd_verify(args, emit: _Emitter) -> int:
 
 def _cmd_flow(args, emit: _Emitter) -> int:
     name, body = _load_body(args.body)
-    options = FlowOptions(
-        markers=args.markers,
-        cfl=args.cfl,
-        resample_every=args.resample_every,
-        max_steps=args.max_steps,
-    )
-    trace = flow(body, args.alpha, options)
+    trace = flow(body, args.alpha, FlowOptions(markers=args.markers))
     stride = max(1, len(trace.states) // args.report_states)
     for k in range(0, len(trace.states), stride):
         s = trace.states[k]
@@ -228,9 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--body", required=True)
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--markers", type=int, default=256)
-    p.add_argument("--cfl", type=float, default=0.25)
-    p.add_argument("--resample-every", type=int, default=5)
-    p.add_argument("--max-steps", type=int, default=20000)
     p.add_argument("--report-states", type=int, default=40,
                    help="cap on per-state records emitted")
     p.add_argument("--csv", default=None, help="also write the full trace here")

@@ -30,6 +30,20 @@ GAP_NODES = 24
 # grazing-ray threshold for the chord denominators
 RAY_EPSILON = 1e-12
 TURN_TOLERANCE = 1e-7  # weak convexity: collinear runs pass, real dents re-hull
+# dt = CFL * min(min_edge, 2 area/perimeter) / max_curvature; the second
+# scale is what a thin body collapses across. The explicit step has a
+# stability limit that tightens as alpha grows: the fastest mode, markers
+# alternating in and out on a circle, stiffens like markers**(1 + alpha).
+# At CFL 0.25 its measured dt * lambda is 0.34 / 2.05 / 9.44 / 22.7 at 256
+# markers and 0.27 / 1.25 / 4.51 / 9.39 at 96, for alpha 0.25 / 0.5 / 0.75
+# / 0.9, against Heun's real-axis limit of 2: the default resolution sits
+# just past it at alpha = 0.5. Past the limit the highest mode rings, the
+# re-hull clamps it each step, and rehull_steps records that the limiter
+# was active.
+CFL = 0.25
+EPS_EXTINCT = 1e-3  # the run ends at this share of the initial area
+RESAMPLE_EVERY = 5  # steps between equal-arclength resamples
+MAX_STEPS = 20000
 
 
 class StepCollapseError(GeometryError):
@@ -46,33 +60,17 @@ class TraceTooShortError(GeometryError):
 
 @dataclass(frozen=True)
 class FlowOptions:
-    """Knobs for the marker flow.
+    """Settings of the marker flow.
 
-    cfl scales dt = cfl * min(min_edge, 2 area/perimeter) / max_curvature;
-    the second scale is what a thin body collapses across. The explicit step has a
-    stability limit that tightens as alpha grows: the fastest mode, markers
-    alternating in and out on a circle, stiffens like markers**(1 + alpha).
-    At cfl 0.25 its measured dt * lambda is 0.34 / 2.05 / 9.44 / 22.7 at 256
-    markers and 0.27 / 1.25 / 4.51 / 9.39 at 96, for alpha 0.25 / 0.5 / 0.75
-    / 0.9, against Heun's real-axis limit of 2: the default resolution sits
-    just past it at alpha = 0.5. Past the limit the highest mode rings, the
-    re-hull clamps it each step, and rehull_steps records that the limiter
-    was active.
+    `markers` sets the sampling of a body's boundary; a marker array keeps
+    its own count.
     """
 
     markers: int = 256
-    cfl: float = 0.25
-    eps_extinct: float = 1e-3
-    resample_every: int = 5
-    max_steps: int = 20000
 
     def __post_init__(self):
         if self.markers < 8:
             raise GeometryError("need at least 8 markers")
-        if not 0.0 < self.cfl <= 0.9:
-            raise GeometryError("cfl must lie in (0, 0.9]")
-        if self.resample_every < 1:
-            raise GeometryError("resample_every must be at least 1")
 
 
 @dataclass
@@ -286,7 +284,7 @@ def flow(
     Returns the trace with ending "extinct" (area cutoff reached) or
     "collapse" (the front degenerated very late, under 5 percent of the
     initial area). Degeneration earlier than that raises StepCollapseError,
-    and exceeding max_steps raises MaxStepsExceededError.
+    and exceeding MAX_STEPS raises MaxStepsExceededError.
     """
     Params(1, alpha)  # rejects alpha outside (0, 1)
     if isinstance(initial, ConvexBody):
@@ -303,19 +301,19 @@ def flow(
 
     evaluate = _MarkerEvaluator(alpha)
     trace = FlowTrace(alpha=alpha, options=options)
-    area0 = _signed_area(markers)
+    area0, count = _signed_area(markers), len(markers)
     t = 0.0
-    for step in range(options.max_steps):
+    for step in range(MAX_STEPS):
         values, turns, bis, lengths = evaluate(markers, frame)
         area = _signed_area(markers)
         # a thin body collapses across its width long before marker spacing
         # shrinks; the mean-width proxy 2A/P puts dt on that clock too
         scale = min(float(lengths.min()), 2.0 * area / float(lengths.sum()))
-        dt = options.cfl * scale / float(values.max())
+        dt = CFL * scale / float(values.max())
         trace.states.append(
             FlowState(t, markers.copy(), float(lengths.sum()), area, values, dt)
         )
-        if area <= options.eps_extinct * area0:
+        if area <= EPS_EXTINCT * area0:
             trace.ending = "extinct"
             break
 
@@ -336,8 +334,8 @@ def flow(
         markers, frame = _restore_convexity(markers)
         if frame is None:
             trace.rehull_steps.append(step + 1)
-        if (step + 1) % options.resample_every == 0 or frame is None:
-            markers = resample_equal_arclength(markers, options.markers)
+        if (step + 1) % RESAMPLE_EVERY == 0 or frame is None:
+            markers = resample_equal_arclength(markers, count)
             trace.resampled_steps.append(step + 1)
             frame = None
         if len(markers) < 8 or _signed_area(markers) <= 0.0:
@@ -346,7 +344,7 @@ def flow(
                 break
             raise StepCollapseError("front degenerated far from extinction")
     else:
-        raise MaxStepsExceededError(f"no extinction within {options.max_steps} steps")
+        raise MaxStepsExceededError(f"no extinction within {MAX_STEPS} steps")
 
     t_end = trace.states[-1].t
     try:
@@ -355,7 +353,7 @@ def flow(
         # the cutoff scales like eps^((1+alpha)/2) of the whole run; a slab
         # that stalls its perimeter extrapolates far beyond that and the
         # final time is the better estimate of when its sliver vanishes
-        tail_cap = 4.0 * options.eps_extinct ** ((1.0 + alpha) / 2.0) * t_end
+        tail_cap = 4.0 * EPS_EXTINCT ** ((1.0 + alpha) / 2.0) * t_end
         trace.t_star_num = est if est - t_end <= tail_cap else t_end
     except TraceTooShortError:
         trace.t_star_num = t_end if trace.ending == "extinct" else None

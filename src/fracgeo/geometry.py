@@ -13,11 +13,12 @@ chords are measured from a boundary point into the body.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, QhullError
 
 from .icosphere import sphere_cells, sphere_mesh, split4
 
@@ -335,12 +336,20 @@ def _validate_polygon(vertices) -> Polygon2D:
 
 
 def _validate_hull(vertices, faces) -> Hull3D:
+    """A checked hull; faces None takes the convex hull's triangles."""
     v = np.asarray(vertices, dtype=float)
-    f = np.asarray(faces, dtype=int)
     if v.ndim != 2 or v.shape[1] != 3 or len(v) < 4:
         raise DegenerateError("hull needs at least 4 points in 3D")
-    if f.ndim != 2 or f.shape[1] != 3:
-        raise DegenerateError("hull faces must be vertex-index triples")
+    try:
+        hull = ConvexHull(v)
+    except QhullError:
+        raise DegenerateError("hull points span no volume") from None
+    f = np.asarray(hull.simplices if faces is None else faces)
+    if f.ndim != 2 or f.shape[1] != 3 or np.any(f % 1) or not (
+        0 <= f.min() and f.max() < len(v)
+    ):
+        raise DegenerateError("hull faces must be triples of vertex indices")
+    f = f.astype(int)
     centroid = v.mean(axis=0)
     corners = v[f]
     nrm = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
@@ -350,7 +359,6 @@ def _validate_hull(vertices, faces) -> Hull3D:
         raise DegenerateError("hull contains a zero-area face")
     # flip faces whose normal points at the centroid
     inward = np.einsum("ij,ij->i", nrm, corners.mean(axis=1) - centroid) < 0
-    f = f.copy()
     f[inward] = f[inward][:, [0, 2, 1]]
     # closed orientable surface: every undirected edge in exactly two faces,
     # traversed once in each direction
@@ -366,7 +374,6 @@ def _validate_hull(vertices, faces) -> Hull3D:
     edge_count = len(directed) // 2
     if len(v) - edge_count + len(f) != 2:
         raise NonConvexError("surface is not a topological sphere")
-    hull = ConvexHull(v)
     if len(hull.vertices) != len(v):
         raise NonConvexError("a vertex is not extreme")
     body = Hull3D(v, f)
@@ -374,6 +381,21 @@ def _validate_hull(vertices, faces) -> Hull3D:
     if slack.max() > 1e-9 * scale:
         raise NonConvexError("a face plane does not support the hull")
     return body
+
+
+def _finite(description: dict, key: str, default=None) -> np.ndarray:
+    """The finite numbers under `key`, or `default` when the key is absent."""
+    if key not in description:
+        if default is None:
+            raise DegenerateError(f"body description needs {key!r}")
+        return np.asarray(default, dtype=float)
+    try:
+        value = np.asarray(description[key])
+        if value.dtype.kind in "iuf" and np.all(np.isfinite(value)):
+            return value.astype(float)
+    except ValueError:  # ragged nesting
+        pass
+    raise DegenerateError(f"body {key!r} must be finite numbers")
 
 
 def make_body(description: dict) -> ConvexBody:
@@ -384,24 +406,26 @@ def make_body(description: dict) -> ConvexBody:
     are triangulated from the points); "ball" takes "dim", "center",
     "radius". Polygon vertices may arrive clockwise and may contain collinear
     runs; they are reoriented and merged. Hull faces are reoriented outward.
+    A description that is not such a mapping raises DegenerateError.
     """
+    if not isinstance(description, Mapping):
+        raise DegenerateError("body description must be a mapping")
     kind = description.get("type")
     if kind == "polygon":
-        return _validate_polygon(description["vertices"])
+        return _validate_polygon(_finite(description, "vertices"))
     if kind == "hull3d":
-        verts = np.asarray(description["vertices"], dtype=float)
-        faces = description.get("faces")
-        if faces is None:
-            faces = ConvexHull(verts).simplices
-        return _validate_hull(verts, faces)
+        faces = None if description.get("faces") is None else _finite(description, "faces")
+        return _validate_hull(_finite(description, "vertices"), faces)
     if kind == "ball":
-        dim = int(description.get("dim", 2))
+        dim = description.get("dim", 2)
         if dim not in (2, 3):
             raise DegenerateError("ball dim must be 2 or 3")
-        radius = float(description.get("radius", 1.0))
-        if radius <= 0:
-            raise DegenerateError("ball radius must be positive")
-        center = np.asarray(description.get("center", np.zeros(dim)), dtype=float)
+        dim = int(dim)
+        radius = _finite(description, "radius", 1.0)
+        if radius.shape or radius <= 0:
+            raise DegenerateError("ball radius must be a positive number")
+        radius = float(radius)
+        center = _finite(description, "center", np.zeros(dim))
         if center.shape != (dim,):
             raise DegenerateError("ball center has wrong dimension")
         return Ball(dim, _frozen(center), radius)
@@ -600,11 +624,8 @@ class NodeSubset:
     def measure(self) -> float:
         return float(self.quadrature.weights[self.mask].sum())
 
-    def complement(self) -> "NodeSubset":
-        return NodeSubset(self.quadrature, ~self.mask)
-
     def __invert__(self) -> "NodeSubset":
-        return self.complement()
+        return NodeSubset(self.quadrature, ~self.mask)
 
 
 # ---------------------------------------------------------------------------

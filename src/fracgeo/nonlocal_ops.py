@@ -18,6 +18,7 @@ twice the perimeter) holds at the arithmetic level, not just in the limit.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -240,35 +241,15 @@ def _segment_shares(x, a, b, normals, alpha):
 # boundary form and double layer
 
 
-def _resolve_node(quad: SurfaceQuadrature, x) -> tuple[np.ndarray, Optional[int]]:
-    if isinstance(x, (int, np.integer)):
-        idx = int(x)
-        if not 0 <= idx < quad.node_count:
-            raise NonInteriorPointError(f"node index {idx} out of range")
-        return quad.points[idx], idx
-    pt = np.asarray(x, dtype=float)
-    d = np.linalg.norm(quad.points - pt, axis=1)
-    idx = int(np.argmin(d))
-    if d[idx] <= _surface_tol(quad.body):
-        return quad.points[idx], idx
-    if quad.body.is_polytope:
-        _require_on_surface(quad.body, pt)
-        return pt, None
-    raise NonInteriorPointError(
-        "off-node evaluation on a curved body; pass a node index or node point"
-    )
-
-
-def _facet_of(quad: SurfaceQuadrature, x: np.ndarray, idx: Optional[int]) -> int:
-    if idx is not None:
-        return int(quad.facet_ids[idx])
-    body = quad.body
-    slack = body.facet_offsets - body.facet_normals @ x
-    return int(np.argmin(np.abs(slack)))
+def _resolve_node(quad: SurfaceQuadrature, i) -> int:
+    i = operator.index(i)
+    if not 0 <= i < quad.node_count:
+        raise NonInteriorPointError(f"node index {i} out of range")
+    return i
 
 
 def halpha_boundary(
-    body: ConvexBody, quad: SurfaceQuadrature, x, alpha: float
+    body: ConvexBody, quad: SurfaceQuadrature, i, alpha: float
 ) -> CurvatureValue:
     """Curvature of order alpha by the boundary form over a node set's cells.
 
@@ -279,53 +260,55 @@ def halpha_boundary(
     the chord form evaluates (`_chord_values`): on a facet at height h
     under x, (y-x).nu = h, which is `_hull_halpha`'s kernel; on a sphere
     (y-x).nu = |y-x|^2 / 2R, whose integral is 2 pi (2R)^-alpha/(1-alpha);
-    on planar bodies both forms are the same edge integrals. x is a node
-    index or point (on a polytope, any boundary point); the result is
-    `halpha_chord`'s at that point, its value, error estimate and overflow
-    flag, under the method name "boundary".
+    on planar bodies both forms are the same edge integrals. The result is
+    `halpha_chord`'s at node i's point, its value, error estimate and
+    overflow flag, under the method name "boundary".
     """
     if quad.body is not body:
         raise GeometryError("quadrature was built for a different body")
-    return replace(halpha_chord(body, _resolve_node(quad, x)[0], alpha), method="boundary")
+    x = quad.points[_resolve_node(quad, i)]
+    return replace(halpha_chord(body, x, alpha), method="boundary")
 
 
 def double_layer(
     quad: SurfaceQuadrature,
-    x,
+    i,
     subset: Optional[NodeSubset] = None,
     within: Optional[float] = None,
 ) -> float:
-    """Solid-angle integral of (y-x).nu(y)/|y-x|^(n+1) over cells of a node set.
+    """Solid-angle integral of (y-x).nu(y)/|y-x|^(n+1) over cells of a node
+    set, seen from node i's point x.
 
-    Unrestricted, this recovers half the sphere measure at every boundary
-    point of every convex body; restricted to a node subset's cells, or to
-    the part of the cells in the ball of radius `within` around x, it
-    measures that region's angular content seen from x. Every body is
-    integrated exactly, cell by cell: on a polygon each cell adds the angle
-    it subtends from x, on a circle half its central angle, on a hull the
-    solid angle of its flat triangle, and on a sphere an integral around its
-    edges (`_sphere_cell_angle`).
+    Unrestricted, this recovers half the sphere measure at every node of
+    every convex body; restricted to a node subset's cells, or to the part
+    of the cells in the ball of radius `within` around x, it measures that
+    region's angular content seen from x. Every body is integrated exactly,
+    cell by cell: on a polygon each cell adds the angle it subtends from x,
+    on a circle half its central angle, on a hull the solid angle of its
+    flat triangle, and on a sphere an integral around its edges
+    (`_sphere_cell_angle`).
     """
+    i = _resolve_node(quad, i)
     include = subset.mask if subset is not None else None
     body = quad.body
     if isinstance(body, Polygon2D):
-        return _polygon_angle(quad, x, include, within)
+        return _polygon_angle(quad, i, include, within)
     if body.n == 1:
-        return _arc_angle(quad, x, include, within)
+        return _arc_angle(quad, i, include, within)
     if isinstance(body, Hull3D):
-        return _hull_cell_angle(quad, x, include, within)
-    return _sphere_cell_angle(quad, x, include, within)
+        return _hull_cell_angle(quad, i, include, within)
+    return _sphere_cell_angle(quad, i, include, within)
 
 
-def _hull_cell_angle(quad, x, include, within):
-    """Solid angle the active flat cells subtend from x, each clipped to the ball.
+def _hull_cell_angle(quad, i, include, within):
+    """Solid angle the active flat cells subtend from node i, each clipped to the ball.
 
-    Cells in x's facet plane subtend nothing. Unrestricted, each other cell
-    counts whole (Van Oosterom and Strackee's formula); `_triangle_pieces`
-    clips them to the ball.
+    Cells in the node's facet plane subtend nothing. Unrestricted, each
+    other cell counts whole (Van Oosterom and Strackee's formula);
+    `_triangle_pieces` clips them to the ball.
     """
     body = quad.body
-    pt, _ = _resolve_node(quad, x)
+    pt = quad.points[i]
     active = slice(None) if include is None else np.asarray(include, dtype=bool)
     cells, ids = quad.patches[active], quad.facet_ids[active]
     flat = _surface_tol(body)
@@ -338,8 +321,9 @@ def _hull_cell_angle(quad, x, include, within):
     return float(pieces[3].sum())
 
 
-def _sphere_cell_angle(quad, x, include, within):
-    """Solid angle of the active sphere cells from x, within the ball of radius r.
+def _sphere_cell_angle(quad, i, include, within):
+    """Solid angle of the active sphere cells from node i's point x, within
+    the ball of radius r.
 
     In geodesic polar coordinates (Phi, psi) about x, on a sphere of radius
     R, (y-x).nu/|y-x|^3 dA = cos(Phi/2)/2 dPhi dpsi, whose radial primitive
@@ -348,11 +332,10 @@ def _sphere_cell_angle(quad, x, include, within):
     2 arcsin(r/2R). By Green's theorem a cell is then the integral of
     F(min(Phi, Phi_r)) dpsi around its edges (`_arc_terms`), and the cell
     holding -x, where the polar coordinates wrap, adds 2 pi F(min(pi, Phi_r)).
-    Curved bodies take nodes only, so x is never on an edge.
+    A node is never on an edge.
     """
     body = quad.body
-    _, idx = _resolve_node(quad, x)
-    e = quad.normals[idx]
+    e = quad.normals[i]
     units = (quad.patches - body.center) / body.radius
     top = 1.0 if within is None else min(within / (2.0 * body.radius), 1.0)
     active = np.ones(quad.node_count, dtype=bool)
@@ -426,10 +409,10 @@ def _arc_terms(e, a, b, top):
     return np.sign(sigma) * total
 
 
-def _polygon_angle(quad, x, include, within):
-    """Angle the active edge cells subtend from x, each clipped to the disk."""
-    pt, idx = _resolve_node(quad, x)
-    active = quad.facet_ids != _facet_of(quad, pt, idx)
+def _polygon_angle(quad, i, include, within):
+    """Angle the active edge cells subtend from node i, each clipped to the disk."""
+    pt = quad.points[i]
+    active = quad.facet_ids != quad.facet_ids[i]
     if include is not None:
         active &= np.asarray(include, dtype=bool)
     a = quad.patches[active, 0] - pt
@@ -442,15 +425,15 @@ def _polygon_angle(quad, x, include, within):
     return float(np.arctan2(cross, np.vecdot(a, b)).sum())
 
 
-def _arc_angle(quad, x, include, within):
-    """Half the central angle of the active arc cells, x's own included.
+def _arc_angle(quad, i, include, within):
+    """Half the central angle of the active arc cells, node i's own included.
 
     That is the angle an arc subtends from a point of its circle. Clipped to
     the disk, central angles u from x keep |u| <= 2 arcsin(r / 2R); the cell
     that runs past the antipode is clipped again, shifted by 2 pi.
     """
     body = quad.body
-    rel = _resolve_node(quad, x)[0] - body.center
+    rel = quad.points[i] - body.center
     cells = quad.patches if include is None else quad.patches[np.asarray(include, dtype=bool)]
     lo = (cells[:, 0] - np.arctan2(rel[1], rel[0]) + np.pi) % (2.0 * np.pi) - np.pi
     hi = lo + (cells[:, 1] - cells[:, 0])
@@ -525,11 +508,11 @@ def gagliardo(field: ScalarField, s: float, p: float) -> float:
     return 2.0 * float((mat * pdist(field.values[:, None], "cityblock") ** p).sum())
 
 
-def tail_integral(quad: SurfaceQuadrature, x, subset: NodeSubset, sp: float) -> float:
-    """Kernel mass of the subset's complement seen from a node inside it."""
-    pt, idx = _resolve_node(quad, x)
-    if idx is None or not subset.mask[idx]:
+def tail_integral(quad: SurfaceQuadrature, i, subset: NodeSubset, sp: float) -> float:
+    """Kernel mass of the subset's complement seen from node i, which it holds."""
+    i = _resolve_node(quad, i)
+    if not subset.mask[i]:
         raise GeometryError("evaluation node must belong to the subset")
     outside = ~subset.mask
-    d = np.linalg.norm(quad.points[outside] - pt, axis=1)
+    d = np.linalg.norm(quad.points[outside] - quad.points[i], axis=1)
     return float(np.sum(quad.weights[outside] / d ** (quad.n + sp)))

@@ -95,6 +95,34 @@ def test_invalid_body_description_exits_2(tmp_path):
     assert main(["halpha", "--body", str(bad)]) == 2
 
 
+TETRA = '[[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]'
+
+
+@pytest.mark.parametrize("text", [
+    '[1, 2]',
+    '{"type": "polygon"}',
+    '{"type": "ball", "radius": "abc"}',
+    '{"type": "hull3d", "vertices": %s, "faces": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 9]]}'
+    % TETRA,
+    '{"type": "hull3d", "vertices": %s, "faces": [[0, 1, 2], [0, 1]]}' % TETRA,
+    '{"type": "hull3d", "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [NaN, 0, 1]]}',
+    '{"type": "hull3d", "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]}',
+    '{"type": "ball", "radius": NaN}',
+    '{"type": "ball", "radius": 1e400}',
+    '{"type": "ball", "center": [NaN, 0]}',
+    '{"type": "ball", "dim": 2.5}',
+], ids=["list", "no-vertices", "text-radius", "face-index", "ragged-faces", "nan-vertex",
+        "flat-hull", "nan-radius", "inf-radius", "nan-center", "fractional-dim"])
+def test_malformed_body_file_exits_2(tmp_path, capsys, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    for command in ("halpha", "seminorm", "flow"):
+        assert main([command, "--body", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("form", ["chord", "boundary"])
 @pytest.mark.parametrize("body", ["square", "ball2d", "cube", "ball3d"])
 def test_alpha_outside_the_unit_interval_exits_2(body, form, capsys):
@@ -110,7 +138,6 @@ def test_alpha_outside_the_unit_interval_exits_2(body, form, capsys):
     ["halpha", "--body", "square", "--count", "0"],
     ["halpha", "--body", "square", "--count", "-2"],
     ["flow", "--body", "ball2d", "--markers", "16", "--report-states", "0"],
-    ["flow", "--body", "ball2d", "--markers", "16", "--resample-every", "0"],
     ["verify", "--suite", "classical", "--seed", "-1"],
     ["seminorm", "--body", "ball2d", "--seed", "-1"],
     ["seminorm", "--body", "ball2d", "--p", "nan"],
@@ -139,6 +166,11 @@ def test_bad_choices_rejected_by_parser():
     with pytest.raises(SystemExit) as exc:
         main(["halpha"])  # --body is required
     assert exc.value.code == 2
+    # the flow's step settings are fixed, not flags
+    for flag, value in (("--cfl", "0.5"), ("--resample-every", "5"), ("--max-steps", "10")):
+        with pytest.raises(SystemExit) as exc:
+            main(["flow", "--body", "ball2d", flag, value])
+        assert exc.value.code == 2
 
 
 def test_halpha_takes_no_direction_count():

@@ -1,5 +1,7 @@
 """Marker flow: discrete geometry, evaluator parity, runs, audits, export."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,8 @@ import oracles
 
 
 ALPHA = 0.5
+# the module, which the package's `flow` function shadows as an attribute
+FLOW_MODULE = importlib.import_module("fracgeo.flow")
 
 
 def circle_markers(count, radius=1.0):
@@ -208,9 +212,10 @@ def test_evaluator_matches_the_exact_marker_model():
 
 
 @pytest.mark.parametrize("name", ["ball2d", "square"])
-def test_flow_records_the_curvature_of_its_markers(name):
+def test_flow_records_the_curvature_of_its_markers(name, monkeypatch):
     # the square's resamples move its markers; the disk's barely do
-    trace = flow(load_fixture(name), ALPHA, FlowOptions(markers=64, eps_extinct=0.3))
+    monkeypatch.setattr(FLOW_MODULE, "EPS_EXTINCT", 0.3)
+    trace = flow(load_fixture(name), ALPHA, FlowOptions(markers=64))
     after_resample = trace.resampled_steps[0]
     last = len(trace.states) - 1
     picks = {1, 2, after_resample, after_resample + 1, last // 2, last}
@@ -339,10 +344,6 @@ def test_time_reversed_trace_flips_the_rate_sign(square_trace):
 def test_flow_options_validation():
     with pytest.raises(GeometryError):
         FlowOptions(markers=4)
-    with pytest.raises(GeometryError):
-        FlowOptions(cfl=0.0)
-    with pytest.raises(GeometryError):
-        FlowOptions(cfl=1.5)
 
 
 def test_flow_rejects_bad_initial_data():
@@ -356,9 +357,17 @@ def test_flow_rejects_bad_initial_data():
         flow(dented, ALPHA, FlowOptions(markers=32))
 
 
-def test_flow_raises_when_step_budget_runs_out():
+def test_flow_raises_when_step_budget_runs_out(monkeypatch):
+    monkeypatch.setattr(FLOW_MODULE, "MAX_STEPS", 3)
     with pytest.raises(MaxStepsExceededError):
-        flow(Ball(2, np.zeros(2), 1.0), ALPHA, FlowOptions(markers=32, max_steps=3))
+        flow(Ball(2, np.zeros(2), 1.0), ALPHA, FlowOptions(markers=32))
+
+
+def test_marker_array_flow_keeps_its_marker_count():
+    # the default options sample bodies with 256 markers; an array keeps its 32
+    trace = flow(circle_markers(32), ALPHA)
+    assert trace.ending == "extinct" and trace.resampled_steps
+    assert {len(s.markers) for s in trace.states} == {32}
 
 
 def test_extinction_estimate_needs_a_decaying_tail():

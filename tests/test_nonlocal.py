@@ -557,6 +557,25 @@ def test_double_layer_full_icosahedron():
     assert double_layer(quad, 0) == pytest.approx(2.0 * np.pi, rel=1e-12)
 
 
+@pytest.mark.parametrize("name", ["square", "ball2d", "cube", "ball3d"])
+def test_node_set_operators_take_a_node_index(name):
+    body = load_fixture(name)
+    quad = surface_quadrature(body, 64)
+    full = NodeSubset(quad, np.ones(quad.node_count, dtype=bool))
+    operators = (
+        lambda i: double_layer(quad, i),
+        lambda i: tail_integral(quad, i, full, 0.5),
+        lambda i: halpha_boundary(body, quad, i, 0.5).value,
+    )
+    for op in operators:
+        assert op(np.int64(3)) == op(3)
+        for i in (-1, quad.node_count):
+            with pytest.raises(NonInteriorPointError):
+                op(i)
+        with pytest.raises(TypeError):
+            op(quad.points[3])
+
+
 @pytest.mark.parametrize("name", ["cube", "icosa", "ball3d"])
 def test_solid_double_layer_is_half_the_sphere_at_every_node(name):
     quad = surface_quadrature(load_fixture(name), 1280)

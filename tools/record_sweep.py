@@ -1,17 +1,27 @@
-"""Compare the verify record streams of two source trees over the fixed seed sweep.
+"""Compare the verify record streams and the fixture outputs of two source trees.
 
 Usage: python tools/record_sweep.py BASE_SRC CHANGE_SRC
 
 BASE_SRC and CHANGE_SRC are directories that hold the `fracgeo` package (the
-`src/` of two checkouts). On each tree, `python -m fracgeo verify --suite all`
-runs in a fresh single-threaded interpreter at seeds 0-99, 200-209 and
+`src/` of two checkouts). Every command runs in a fresh single-threaded
+interpreter on each tree.
+
+First `python -m fracgeo verify --suite all` runs at seeds 0-99, 200-209 and
 300-309 under the default profile, and at seed 0 under `full` and `fine`.
 Records are paired in stream order and counted as byte-identical, moved with
 the same verdict, pass -> fail, or fail -> pass. For each record name that
 has records that differ, the summary prints how many differ and the largest
-relative change of lhs and of rhs among them. The exit status is 1 when any
-record goes from pass to fail, when a run's record counts differ between the
-trees, or when a run ends with an exit code other than 0 or 1; else 0.
+relative change of lhs and of rhs among them.
+
+Then `halpha` in both forms with `--count 16` and `seminorm` run on each of
+the six fixtures, and `flow --markers 64` on ball2d, square and thinrect;
+each command is printed as identical or differing by its standard output,
+or as broken when its exit codes differ.
+
+The exit status is 1 when any record goes from pass to fail, when a verify
+run's record counts differ between the trees, when a verify run ends with an
+exit code other than 0 or 1, or when a fixture command's exit codes differ
+between the trees; else 0.
 """
 
 from __future__ import annotations
@@ -25,15 +35,23 @@ from pathlib import Path
 
 RUNS = [(seed, "default") for seed in (*range(100), *range(200, 210), *range(300, 310))]
 RUNS += [(0, "full"), (0, "fine")]
+FIXTURES = ("ball2d", "ball3d", "square", "thinrect", "cube", "icosa")
+COMMANDS = [
+    ["halpha", "--body", body, "--form", form, "--count", "16"]
+    for body in FIXTURES for form in ("chord", "boundary")
+]
+COMMANDS += [["seminorm", "--body", body] for body in FIXTURES]
+COMMANDS += [
+    ["flow", "--body", body, "--markers", "64"] for body in ("ball2d", "square", "thinrect")
+]
 THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def verify(src: Path, seed: int, profile: str):
-    """Exit code and record lines of one verify run on the tree at src."""
+def run(src: Path, args: list):
+    """Exit code and stdout lines of `python -m fracgeo ARGS` on the tree at src."""
     env = dict(os.environ, PYTHONPATH=str(src), **dict.fromkeys(THREADS, "1"))
-    argv = [sys.executable, "-m", "fracgeo", "verify", "--suite", "all",
-            "--seed", str(seed), "--profile", profile]
-    done = subprocess.run(argv, env=env, capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-m", "fracgeo", *args],
+                          env=env, capture_output=True, text=True)
     return done.returncode, done.stdout.splitlines()
 
 
@@ -74,8 +92,8 @@ def main(argv) -> int:
     broken = 0
     with ThreadPoolExecutor(max_workers=2) as pool:
         for seed, profile in RUNS:
-            (code_a, old), (code_b, new) = pool.map(
-                lambda src: verify(src, seed, profile), (base, change))
+            args = ["verify", "--suite", "all", "--seed", str(seed), "--profile", profile]
+            (code_a, old), (code_b, new) = pool.map(lambda src: run(src, args), (base, change))
             counts = compare(old, new, moves)
             for key, value in counts.items():
                 totals[key] += value
@@ -91,7 +109,16 @@ def main(argv) -> int:
     )
     for name, (count, lhs, rhs) in sorted(moves.items()):
         print(f"  {name}: {count} differ; largest relative change lhs {lhs:.2g}, rhs {rhs:.2g}")
-    return 1 if broken or totals["pass->fail"] else 0
+    outcomes = dict.fromkeys(("identical", "differing", "broken"), 0)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for args in COMMANDS:
+            (code_a, old), (code_b, new) = pool.map(lambda src: run(src, args), (base, change))
+            outcome = "broken" if code_a != code_b else "identical" if old == new else "differing"
+            outcomes[outcome] += 1
+            print(f"fracgeo {' '.join(args)}: {outcome} (exit {code_a}/{code_b})")
+    print(f"{len(COMMANDS)} fixture commands: "
+          + ", ".join(f"{v} {k}" for k, v in outcomes.items()))
+    return 1 if broken or outcomes["broken"] or totals["pass->fail"] else 0
 
 
 if __name__ == "__main__":
