@@ -12,10 +12,12 @@ identities and the extinction time can be read off afterwards.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.spatial import ConvexHull
 
 from .geometry import (
@@ -118,21 +120,22 @@ def marker_frame(markers: np.ndarray):
     Edge i runs from marker i to marker i+1; normals are outward for
     counterclockwise order; turn i is the exterior angle at marker i.
     """
-    e = np.roll(markers, -1, axis=0) - markers
-    lengths = np.linalg.norm(e, axis=1)
-    if np.any(lengths <= 0.0):
+    nxt, prv = np.arange(1 - len(markers), 1), np.arange(-1, len(markers) - 1)  # negative wrap
+    e = markers[nxt] - markers
+    lengths = np.sqrt(e[:, 0] * e[:, 0] + e[:, 1] * e[:, 1])
+    if (lengths <= 0.0).any():
         raise StepCollapseError("coincident consecutive markers")
     u = e / lengths[:, None]
     n = np.stack([u[:, 1], -u[:, 0]], axis=1)
-    u_prev = np.roll(u, 1, axis=0)
+    u_prev = u[prv]
     cross = u_prev[:, 0] * u[:, 1] - u_prev[:, 1] * u[:, 0]
     turns = np.arctan2(cross, (u_prev * u).sum(axis=1))
-    bis = np.roll(n, 1, axis=0) + n
-    norms = np.linalg.norm(bis, axis=1)
-    if np.any(norms < 1e-12):
+    bis = n[prv] + n
+    norms = np.sqrt(bis[:, 0] * bis[:, 0] + bis[:, 1] * bis[:, 1])
+    if (norms < 1e-12).any():
         raise StepCollapseError("marker fold: opposite adjacent normals")
     bis = bis / norms[:, None]
-    duals = 0.5 * (lengths + np.roll(lengths, 1))
+    duals = 0.5 * (lengths + lengths[prv])
     return u, n, turns, bis, duals, lengths
 
 
@@ -149,82 +152,117 @@ class _MarkerEvaluator:
     once. Per call, the sorted cells inside each marker's entry cone
     (gap, pi - gap) form one run of live cells, of which the cone clips at
     most the two ends; one search of the vertex angles names every ray's
-    exit edge j, and (m, m) tables give the chord as
+    exit edge j, and tables over the pairs (i, j) give the chord as
     <x_j - x_i, n_j> / (cos theta <t_i, n_j> - sin theta <b_i, n_j>).
+
+    Per-cell and per-pair arrays that numpy can fill in place are views of
+    `workspace`, grow-only buffers refilled on every call; each evaluator (one
+    per flow run) owns its own, shared with no other run or thread, and no
+    returned array aliases it.
     """
 
     def __init__(self, alpha: float):
         self.alpha = alpha
         self.thetas, self.cells = graded_half_rule(alpha, RULE_SIZE)
-        self.widths = self.cells[:, 1] - self.cells[:, 0]
-        self.cos_thetas = np.cos(self.thetas)
-        self.sin_thetas = np.sin(self.thetas)
-        nodes, widths = graded_interval(alpha, GAP_NODES, 1.0)
-        self.gap_nodes = nodes
-        self.gap_widths = widths
+        self.lower, self.upper = self.cells.T.copy()
+        self.rule = np.stack([self.upper - self.lower, np.cos(self.thetas), np.sin(self.thetas)])
+        self.gap_nodes, self.gap_widths = graded_interval(alpha, GAP_NODES, 1.0)
+        self.workspace = {}
+
+    def _buffer(self, name: str, shape: tuple, dtype=float, room: int = 0) -> np.ndarray:
+        """This shape's view of a named grow-only buffer of at least `room` items."""
+        size = math.prod(shape)
+        buf = self.workspace.get(name)
+        if buf is None or buf.size < size:
+            buf = self.workspace[name] = np.empty(max(size, room), dtype)
+        return buf[:size].reshape(shape)
 
     def __call__(self, markers: np.ndarray, frame=None):
         """Curvature, turns, bisectors and edge lengths at the markers;
         `frame` is marker_frame(markers) when the caller already has it."""
-        alpha = self.alpha
+        alpha, buffer, count = self.alpha, self._buffer, len(markers)
         u, n, turns, bis, duals, lengths = frame or marker_frame(markers)
-        count = len(markers)
-        rows = np.arange(count)
         gaps = np.maximum(turns, 0.0) / 2.0
 
-        # Marker i's live cells first[i] .. first[i] + live[i] - 1 are stored
+        # Marker i's live cells first[i] .. last[i] of the rule are stored
         # flat from start[i]. marker_frame's fold check keeps gaps under pi/2,
         # so the cell starting at pi/2 is always live.
-        first = np.searchsorted(self.cells[:, 1], gaps, side="right")
-        live = np.searchsorted(self.cells[:, 0], np.pi - gaps) - first
+        first = np.searchsorted(self.upper, gaps, side="right")
+        live = np.searchsorted(self.lower, np.pi - gaps) - first
         start = np.cumsum(live) - live
-        col = np.arange(live.sum()) + np.repeat(first - start, live)
-        widths = self.widths[col]
-        cos_th = self.cos_thetas[col]
-        sin_th = self.sin_thetas[col]
+        last = first + live - 1
+        # room for a whole rule per marker: a count once seen never regrows
+        total, room = int(start[-1] + live[-1]), count * len(self.thetas)
+        widths, cos_th, sin_th, denom = cells = buffer("cells", (4, total), room=4 * room)
+        spans = zip(first.tolist(), (last + 1).tolist())
+        np.concatenate([self.rule[:, i:j] for i, j in spans], axis=1, out=cells[:3])
 
         # Exit edges without testing every edge: seen from marker i the other
-        # vertices i+1, i+2, ... appear at increasing angles, and a ray whose
-        # angle falls between vertices j and j+1 leaves through edge j. On
-        # the cells' theta scale a vertex sits at the gap plus its rotation
-        # past the forward edge. Each adds one at the first live cell at or
-        # past it (past the run: the next marker's first), so the running
-        # count, less one, is every ray's flat index into `ahead`.
-        ahead = count * rows[:, None] + (rows[:, None] + np.arange(1, count)) % count
-        diff = markers[None, :, :] - markers[:, None, :]
-        psi = np.arctan2(diff[..., 1], diff[..., 0]).ravel()[ahead]
-        step = np.diff(psi, axis=1, prepend=psi[:, :1])
-        step = np.where(step < -np.pi, step + 2.0 * np.pi, np.maximum(step, 0.0))
-        seen = gaps[:, None] + np.cumsum(step, axis=1)
-        landing = np.searchsorted(self.thetas, seen) - first[:, None]
-        landing = np.clip(landing, 0, live[:, None]) + start[:, None]
-        landing[:, 0] = start  # a ray never leaves before the forward edge
-        exits = np.cumsum(np.bincount(landing.ravel(), minlength=len(col) + 1)[:-1]) - 1
+        # vertices i+1, ..., i+m-1 (a window of the doubled markers) appear at
+        # increasing angles, and a ray whose angle falls between vertices i+k
+        # and i+k+1 leaves through edge i+k. On the cells' theta scale a vertex
+        # sits at the gap plus its rotation past the forward edge, the first at
+        # the gap itself, and lands on the first live cell at or past it.
+        ahead = sliding_window_view(np.tile(markers.T, 2)[:, 1:-1], count - 1, axis=1)
+        diff = np.subtract(ahead, markers.T[:, :, None], out=buffer("diff", ahead.shape))
+        psi = np.arctan2(diff[1], diff[0], out=buffer("psi", (count, count - 1)))
+        step = np.subtract(psi[:, 1:], psi[:, :-1], out=buffer("step", (count, count - 2)))
+        wrap = np.less(step, -np.pi, out=buffer("wrap", step.shape, bool))
+        np.add(step, 2.0 * np.pi, out=step, where=wrap)
+        np.maximum(step, 0.0, out=step)
+        seen = np.cumsum(step, axis=1, out=buffer("seen", step.shape))
+        seen += gaps[:, None]
+        found = np.searchsorted(self.thetas, seen)
+        np.clip(found, first[:, None], (last + 1)[:, None], out=found)
+        # Marker i's rays leave through edge i + 1 from its first cell up to
+        # its first landing, and through edge i + 2 + k from landing k up to
+        # the next one or past its last cell. Edge i + 1 + k is the flat index
+        # i (2 count + 1) + 1 + k of the tables below, whose row i holds its
+        # (i, j) entries twice over.
+        runs = buffer("runs", (count, count - 1), np.intp)
+        runs[:, 0] = found[:, 0] - first
+        np.subtract(found[:, 1:], found[:, :-1], out=runs[:, 1:-1])
+        runs[:, -1] = last + 1 - found[:, -1]
+        edges = buffer("edges", runs.shape, np.intp)
+        np.add.outer((2 * count + 1) * np.arange(count), np.arange(1, count), out=edges)
+        exits = np.repeat(edges, runs.ravel())
 
         # only a run's two end cells can reach past the cone; the cut ones
         # get their clipped width, their midpoint angle and their own count
-        ends, end_rows = np.concatenate([start, start + live - 1]), np.tile(rows, 2)
-        g = gaps[end_rows, None]
-        cell = self.cells[col[ends]]
-        clipped = np.clip(cell, g, np.pi - g)
+        # of the vertices at or before it, the first vertex always among them
+        ends, end_rows = np.concatenate([start, start + live - 1]), np.arange(2 * count) % count
+        cell = self.cells[np.concatenate([first, last])]
+        clipped = np.clip(cell, gaps[end_rows, None], np.pi - gaps[end_rows, None])
         cut = (clipped != cell).any(axis=1)
-        ends, end_rows, (lo, hi) = ends[cut], end_rows[cut], clipped[cut].T
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * (clipped[:, 0] + clipped[:, 1])
+        before = buffer("before", (2, count, count - 2), bool)
+        passed = np.less_equal(seen, mid.reshape(2, count, 1), out=before).sum(axis=2).ravel()
+        ends, end_rows, (lo, hi), mid = ends[cut], end_rows[cut], clipped[cut].T, mid[cut]
         widths[ends] = hi - lo
         cos_th[ends], sin_th[ends] = np.cos(mid), np.sin(mid)
-        passed = (seen[end_rows] <= mid[:, None]).sum(axis=1)
-        exits[ends] = end_rows * (count - 1) + np.maximum(passed, 1) - 1
+        exits[ends] = end_rows * (2 * count + 1) + 1 + passed[cut]
 
-        pair = ahead.ravel()[exits]
         tangent = np.stack([-bis[:, 1], bis[:, 0]], axis=1)
-        numer = ((markers * n).sum(axis=1) - markers @ n.T).ravel()[pair]
-        denom = cos_th * (tangent @ n.T).ravel()[pair]
-        denom -= sin_th * (bis @ n.T).ravel()[pair]
+        numer, tn, bn = tables = buffer("tables", (3, count, 2 * count))
+        for table, vectors in zip(tables[:, :, :count], (markers, tangent, bis)):
+            np.matmul(vectors, n.T, out=table)
+        np.subtract((markers * n).sum(axis=1), numer[:, :count], out=numer[:, :count])
+        tables[:, :, count:] = tables[:, :, :count]
+        # the gathers reuse the cosines' and sines' storage once consumed; the
+        # exits are in range, and mode="wrap" writes to `out` without a copy
+        np.multiply(cos_th, np.take(tn, exits, out=denom, mode="wrap"), out=denom)
+        denom -= np.multiply(sin_th, np.take(bn, exits, out=cos_th, mode="wrap"), out=cos_th)
+        rho = np.take(numer, exits, out=sin_th, mode="wrap")
         with np.errstate(divide="ignore", invalid="ignore"):
-            rho = numer / denom
+            rho /= denom
         # rays that graze or never leave forward contribute inf**(-alpha) = 0
-        rho[~((denom > RAY_EPSILON) & (rho > 0.0))] = np.inf
-        values = np.add.reduceat(widths * rho ** (-alpha), start)
+        ok, forward = buffer("flags", (2, total), bool, 2 * room)
+        np.greater(denom, RAY_EPSILON, out=ok)
+        ok &= np.greater(rho, 0.0, out=forward)
+        np.copyto(rho, np.inf, where=np.logical_not(ok, out=ok))
+        rho **= -alpha
+        rho *= widths
+        values = np.add.reduceat(rho, start)
 
         vertexed = gaps > 0.0
         if vertexed.any():
@@ -302,10 +340,9 @@ def flow(
     evaluate = _MarkerEvaluator(alpha)
     trace = FlowTrace(alpha=alpha, options=options)
     area0, count = _signed_area(markers), len(markers)
-    t = 0.0
+    area, t = area0, 0.0
     for step in range(MAX_STEPS):
         values, turns, bis, lengths = evaluate(markers, frame)
-        area = _signed_area(markers)
         # a thin body collapses across its width long before marker spacing
         # shrinks; the mean-width proxy 2A/P puts dt on that clock too
         scale = min(float(lengths.min()), 2.0 * area / float(lengths.sum()))
@@ -338,8 +375,9 @@ def flow(
             markers = resample_equal_arclength(markers, count)
             trace.resampled_steps.append(step + 1)
             frame = None
-        if len(markers) < 8 or _signed_area(markers) <= 0.0:
-            if _signed_area(markers) < 0.05 * area0:
+        area = _signed_area(markers)
+        if len(markers) < 8 or area <= 0.0:
+            if area < 0.05 * area0:
                 trace.ending = "collapse"
                 break
             raise StepCollapseError("front degenerated far from extinction")

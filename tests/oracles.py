@@ -94,7 +94,7 @@ def flat_equality_constant(n: int, alpha: float) -> float:
 
 
 def polygon_halpha(vertices, x, alpha: float) -> float:
-    """Chord form at a boundary point x of a convex polygon, one edge at a time.
+    """Chord form at a boundary point x of a convex polygon, all edges at once.
 
     An edge at height h below x, its ends at s0 < s1 along it from x's foot
     point, adds h^-alpha times the integral of cos^alpha over the angles
@@ -105,24 +105,26 @@ def polygon_halpha(vertices, x, alpha: float) -> float:
     nothing.
     """
     x = np.asarray(x, dtype=float)
+    a = np.asarray(vertices, dtype=float)
+    b = np.roll(a, -1, axis=0)
     k = 0.5 * (1.0 + alpha)
-    flat = 1e-9 * np.abs(vertices - x).max()
-    total = 0.0
-    for a, b in zip(vertices, np.roll(vertices, -1, axis=0)):
-        tau = (b - a) / np.linalg.norm(b - a)
-        nu = np.array([tau[1], -tau[0]])
-        s = np.array([tau @ (a - x), tau @ (b - x)])
-        # from the nearer end, so a small h keeps its relative accuracy
-        h = nu @ ((a, b)[int(np.argmin(np.abs(s)))] - x)
-        if h <= flat:
-            continue
-        r2 = s * s + h * h
-        if s[0] * s[1] > 0.0 and s[0] ** 2 + s[1] ** 2 > 2.0 * h * h:
-            prim = -np.sign(s) * betainc(k, 0.5, h * h / r2)
-        else:
-            prim = np.sign(s) * betainc(0.5, k, s * s / r2)
-        total += 0.5 * beta(0.5, k) * h ** (-alpha) * (prim[1] - prim[0])
-    return float(total)
+    flat = 1e-9 * np.abs(a - x).max()
+    tau = (b - a) / np.linalg.norm(b - a, axis=1)[:, None]
+    nu = np.stack([tau[:, 1], -tau[:, 0]], axis=1)
+    s = np.stack([((a - x) * tau).sum(axis=1), ((b - x) * tau).sum(axis=1)], axis=1)
+    # from the nearer end, so a small h keeps its relative accuracy
+    nearer = np.where((np.abs(s[:, 0]) <= np.abs(s[:, 1]))[:, None], a, b)
+    h = ((nearer - x) * nu).sum(axis=1)
+    seen = h > flat
+    s, h = s[seen], h[seen, None]
+    r2 = s * s + h * h
+    grazing = (s[:, :1] * s[:, 1:] > 0.0) & ((s * s).sum(axis=1, keepdims=True) > 2.0 * h * h)
+    prim = np.where(
+        grazing,
+        -np.sign(s) * betainc(k, 0.5, h * h / r2),
+        np.sign(s) * betainc(0.5, k, s * s / r2),
+    )
+    return float((0.5 * beta(0.5, k) * h[:, 0] ** (-alpha) * (prim[:, 1] - prim[:, 0])).sum())
 
 
 def marker_halpha_exact(markers, alpha: float):

@@ -211,6 +211,45 @@ def test_evaluator_matches_the_exact_marker_model():
             assert np.abs(got - exact).max() < 1.5e-4 * exact.max()
 
 
+WORKSPACE_MARKERS = {
+    8: circle_markers(8),
+    256: circle_markers(256),
+    64: sample_boundary(unit_square(), 64),
+}
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.9])
+def test_evaluator_workspace_reuse_is_bit_identical(alpha):
+    # the workspace grows at 256 markers and is refilled at fewer
+    ev = _MarkerEvaluator(alpha)
+    for count in (8, 256, 64, 8):
+        markers = WORKSPACE_MARKERS[count]
+        got = ev(markers)
+        fresh = _MarkerEvaluator(alpha)(markers)
+        assert all(np.array_equal(a, b) for a, b in zip(got, fresh))
+
+
+def test_evaluator_results_do_not_alias_its_workspace():
+    ev = _MarkerEvaluator(ALPHA)
+    results = ev(WORKSPACE_MARKERS[64])
+    kept = [r.copy() for r in results]
+    for r in results:
+        assert not any(np.shares_memory(r, buf) for buf in ev.workspace.values())
+    ev(WORKSPACE_MARKERS[256])
+    ev(WORKSPACE_MARKERS[64] * 1.5)
+    assert all(np.array_equal(r, k) for r, k in zip(results, kept))
+
+
+def test_warm_evaluator_allocates_no_new_buffer():
+    ev = _MarkerEvaluator(ALPHA)
+    markers = WORKSPACE_MARKERS[64]
+    ev(markers)
+    addresses = {name: buf.ctypes.data for name, buf in ev.workspace.items()}
+    for again in (markers, 0.5 * markers, circle_markers(64)):
+        ev(again)
+        assert {name: buf.ctypes.data for name, buf in ev.workspace.items()} == addresses
+
+
 @pytest.mark.parametrize("name", ["ball2d", "square"])
 def test_flow_records_the_curvature_of_its_markers(name, monkeypatch):
     # the square's resamples move its markers; the disk's barely do

@@ -14,9 +14,11 @@ has records that differ, the summary prints how many differ and the largest
 relative change of lhs and of rhs among them.
 
 Then `halpha` in both forms with `--count 16` and `seminorm` run on each of
-the six fixtures, and `flow --markers 64` on ball2d, square and thinrect;
-each command is printed as identical or differing by its standard output,
-or as broken when its exit codes differ.
+the six fixtures; `flow --markers 64` on ball2d, square and thinrect;
+`flow --body ball2d --markers 80 --alpha 0.75`, the run on which the step
+limiter stays active; and `flow --body ball2d --markers 8`, the fewest
+markers a flow accepts. Each command is printed as identical or differing
+by its standard output, or as broken when its exit codes differ.
 
 The exit status is 1 when any record goes from pass to fail, when a verify
 run's record counts differ between the trees, when a verify run ends with an
@@ -43,6 +45,10 @@ COMMANDS = [
 COMMANDS += [["seminorm", "--body", body] for body in FIXTURES]
 COMMANDS += [
     ["flow", "--body", body, "--markers", "64"] for body in ("ball2d", "square", "thinrect")
+]
+COMMANDS += [
+    ["flow", "--body", "ball2d", "--markers", "80", "--alpha", "0.75"],
+    ["flow", "--body", "ball2d", "--markers", "8"],
 ]
 THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
