@@ -448,7 +448,7 @@ class SurfaceQuadrature:
     set, keyed by power (`nonlocal_ops.interaction_matrix`): condensed, in
     `pdist` order, half the bytes of the matrices `squareform` gives; and
     `curvatures` the read-only chord-form curvatures at its nodes, keyed by
-    alpha (`inequalities.checks.halpha_at_nodes`). Both live and die with
+    alpha (`nonlocal_ops.halpha_at_nodes`). Both live and die with
     the node set, so the arrays above must not change once one is built.
     """
 

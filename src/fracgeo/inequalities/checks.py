@@ -25,10 +25,10 @@ from ..geometry import (
 )
 from ..nonlocal_ops import (
     ScalarField,
-    _chord_values,
     double_layer,
     frac_perimeter,
     gagliardo,
+    halpha_at_nodes,
     tail_integral,
 )
 from ..quadrature import SphericalRule, abs_cosine_integral
@@ -55,20 +55,6 @@ SPHERE_RULE = {1: 1e-3, 2: 1e-2}
 def pointwise_constant(n: int, alpha: float) -> float:
     """Explicit constant turning the solid-angle identity into a curvature bound."""
     return (2.0 / SPHERE_MEASURE[n]) ** ((n + alpha) / n)
-
-
-def halpha_at_nodes(quad: SurfaceQuadrature, alpha: float) -> np.ndarray:
-    """Chord-form curvature at every node, in one batched pass.
-
-    Built once per alpha and kept in `quad.curvatures`, so every call on the
-    same node set returns the same read-only array.
-    """
-    key = float(alpha)
-    if key not in quad.curvatures:
-        vals = _chord_values(quad.body, quad.points, alpha)[0]
-        vals.setflags(write=False)
-        quad.curvatures[key] = vals
-    return quad.curvatures[key]
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +111,7 @@ def check_pointwise_global(quad: SurfaceQuadrature, alpha: float) -> InequalityR
     n = quad.n
     constant = pointwise_constant(n, alpha)
     lhs = quad.body.perimeter() ** (-alpha / n)
-    values = halpha_at_nodes(quad, alpha)
-    scaled = constant * values
+    scaled = constant * halpha_at_nodes(quad, alpha)
     worst = int(np.argmin(scaled))
     rhs = float(scaled.min())
     return bound_report(
@@ -148,9 +133,8 @@ def check_integral_bound(
     """Integrated curvature power dominates a surface-measure power."""
     n = quad.n
     constant = pointwise_constant(n, alpha)
-    values = halpha_at_nodes(quad, alpha)
     lhs = constant ** (-s / alpha) * quad.body.perimeter() ** ((n - s) / n)
-    rhs = float(np.sum(quad.weights * values ** (s / alpha)))
+    rhs = float(np.sum(quad.weights * halpha_at_nodes(quad, alpha) ** (s / alpha)))
     return bound_report(
         "integrated-curvature-lower-bound",
         lhs,
@@ -537,8 +521,7 @@ def check_function_sobolev(
     u = np.abs(field.values)
     lhs = float(np.sum(quad.weights * u**p_star)) ** (p / p_star)
     energy = 0.5 * gagliardo(field, params.s, p)
-    hvals = halpha_at_nodes(quad, alpha)
-    curv = float(np.sum(quad.weights * hvals ** (sp / alpha) * u**p))
+    curv = float(np.sum(quad.weights * halpha_at_nodes(quad, alpha) ** (sp / alpha) * u**p))
     return bound_report(
         "function-norm-sobolev",
         lhs,

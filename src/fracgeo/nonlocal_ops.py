@@ -11,9 +11,9 @@ hulls. With exponent n+1 the boundary kernel becomes the solid-angle
 ball around x; it too is exact on every body, through the angle or solid
 angle of each cell, or on a sphere an integral around each cell's edges.
 
-Perimeters of node subsets and Gagliardo energies of node fields share one
-interaction engine, so the indicator identity (energy of an indicator equals
-twice the perimeter) holds at the arithmetic level, not just in the limit.
+Perimeters, Gagliardo energies and tails share one pair rule (`_near_pairs`),
+so an indicator's energy is twice its perimeter and a set's weighted tails
+sum to its perimeter, in arithmetic and not just in the limit.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .geometry import (
     GeometryError,
     Hull3D,
     NodeSubset,
+    ParamError,
     Params,
     Polygon2D,
     SurfaceQuadrature,
@@ -48,8 +49,10 @@ from .geometry import (
 EDGE_NODES, EDGE_WEIGHTS = np.polynomial.legendre.leggauss(12)
 EDGE_PANEL = 1.0
 NODE_BATCH = 2048
-# near pairs in the interaction matrix: threshold in local spacings
+# near pairs in every kernel sum: threshold in local spacings; uniform meshes
+# put many pairs on it, so ties within 1e-9 count as near, whatever the rounding
 NEAR_FACTOR_PAIRS = 2.0
+_NEAR_LIMIT = NEAR_FACTOR_PAIRS * (1.0 + 1e-9)
 
 
 class NonInteriorPointError(GeometryError):
@@ -139,6 +142,17 @@ def _chord_values(body: ConvexBody, points: np.ndarray, alpha: float):
     shares = _segment_shares(
         points[node], body.vertices[edge], ends[edge], body.facet_normals[edge], alpha)
     return np.bincount(node, shares, len(points)), np.zeros(len(points))
+
+
+def halpha_at_nodes(quad: SurfaceQuadrature, alpha: float) -> np.ndarray:
+    """Chord-form curvature at every node in one batched pass, built once per
+    alpha and kept read-only in `quad.curvatures`: the same array each call."""
+    key = float(Params(quad.n, alpha).alpha)  # rejects alpha outside (0, 1)
+    if key not in quad.curvatures:
+        vals = _chord_values(quad.body, quad.points, alpha)[0]
+        vals.setflags(write=False)
+        quad.curvatures[key] = vals
+    return quad.curvatures[key]
 
 
 def _hull_halpha(body: Hull3D, points: np.ndarray, alpha: float):
@@ -446,40 +460,49 @@ def _arc_angle(quad, i, include, within):
 # interaction sums
 
 
+def _near_pairs(quad: SurfaceQuadrature, i, j, d, power: float):
+    """Positions of the near pairs among (i, j) at distances d, and their sums:
+    the pairs with 0 < d <= NEAR_FACTOR_PAIRS max(h_i, h_j), h the local
+    spacings, summed as w w' / |y - y'|^power over one 4-split of both cells."""
+    h = quad.spacings
+    near = np.flatnonzero((d > 0.0) & (d <= _NEAR_LIMIT * np.maximum(h[i], h[j])))
+    if not len(near):
+        return near, np.zeros(0)
+    nodes, slot = np.unique(np.concatenate([i[near], j[near]]), return_inverse=True)
+    sub_pts, sub_w = quad.split_cells(nodes)
+    a, b = slot[: len(near)], slot[len(near) :]
+    d = np.linalg.norm(sub_pts[a][:, :, None, :] - sub_pts[b][:, None, :, :], axis=3)
+    terms = sub_w[a][:, :, None] * sub_w[b][:, None, :] / d**power
+    return near, terms.reshape(len(a), -1).sum(axis=1)
+
+
 def interaction_matrix(quad: SurfaceQuadrature, power: float) -> np.ndarray:
     """Pair interactions w_i w_j / |x_i - x_j|^power with near pairs refined.
 
     Condensed: one entry per unordered pair i < j, in the order of
     `scipy.spatial.distance.pdist`, so `squareform` expands it to the
-    symmetric matrix with a zero diagonal. Pairs closer than two local
-    spacings are re-evaluated on one 4-split level of both cells, all of
-    them in one batched pass. The vector is built once per power and kept
-    in `quad.matrices`, so every call on the same node set returns the same
+    symmetric matrix with a zero diagonal. Near pairs (`_near_pairs`) are
+    re-evaluated on one 4-split level of both cells, all of them in one
+    batched pass. The vector is built once per power and kept in
+    `quad.matrices`, so every call on the same node set returns the same
     read-only array: copy it before writing.
     """
     key = float(power)
     if key in quad.matrices:
         return quad.matrices[key]
-    count, w, sp = quad.node_count, quad.weights, quad.spacings
+    count, w = quad.node_count, quad.weights
     mat = pdist(quad.points)
     # pair (i, j), i < j, sits at starts[i] + j - i - 1
     starts = np.concatenate([[0], np.cumsum(np.arange(count - 1, 0, -1))])
-    cand = np.flatnonzero(mat < NEAR_FACTOR_PAIRS * sp.max())
+    cand = np.flatnonzero(mat <= _NEAR_LIMIT * quad.spacings.max())
     near_i = np.searchsorted(starts, cand, side="right") - 1
     near_j = cand - starts[near_i] + near_i + 1
-    near = (mat[cand] < NEAR_FACTOR_PAIRS * np.maximum(sp[near_i], sp[near_j])) & (mat[cand] > 0)
-    cand, near_i, near_j = cand[near], near_i[near], near_j[near]
+    near, sums = _near_pairs(quad, near_i, near_j, mat[cand], power)
     mat **= power
     np.divide(1.0, mat, out=mat, where=mat > 0.0)
     for i in range(count - 1):
         mat[starts[i] : starts[i + 1]] *= w[i] * w[i + 1 :]
-    if len(cand):
-        nodes, slot = np.unique(np.concatenate([near_i, near_j]), return_inverse=True)
-        sub_pts, sub_w = quad.split_cells(nodes)
-        a, b = slot[: len(cand)], slot[len(cand) :]
-        d = np.linalg.norm(sub_pts[a][:, :, None, :] - sub_pts[b][:, None, :, :], axis=3)
-        terms = sub_w[a][:, :, None] * sub_w[b][:, None, :] / d**power
-        mat[cand] = terms.reshape(len(a), -1).sum(axis=1)
+    mat[cand[near]] = sums
     mat.setflags(write=False)
     quad.matrices[key] = mat
     return mat
@@ -509,10 +532,16 @@ def gagliardo(field: ScalarField, s: float, p: float) -> float:
 
 
 def tail_integral(quad: SurfaceQuadrature, i, subset: NodeSubset, sp: float) -> float:
-    """Kernel mass of the subset's complement seen from node i, which it holds."""
+    """Kernel mass of the subset's complement seen from node i, which it holds:
+    node i's row of the pair interactions at power n + sp, divided by w_i."""
     i = _resolve_node(quad, i)
+    if not 0.0 < sp < np.inf:
+        raise ParamError(f"sp must be positive and finite, got {sp}")
     if not subset.mask[i]:
         raise GeometryError("evaluation node must belong to the subset")
-    outside = ~subset.mask
-    d = np.linalg.norm(quad.points[outside] - quad.points[i], axis=1)
-    return float(np.sum(quad.weights[outside] / d ** (quad.n + sp)))
+    out, w = np.flatnonzero(~subset.mask), quad.weights
+    d = np.linalg.norm(quad.points[out] - quad.points[i], axis=1)
+    near, sums = _near_pairs(quad, np.full(len(out), i), out, d, quad.n + sp)
+    row = np.divide(w[i] * w[out], d ** (quad.n + sp), out=np.zeros(len(out)), where=d > 0.0)
+    row[near] = sums
+    return float(row.sum() / w[i])

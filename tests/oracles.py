@@ -279,16 +279,17 @@ def dense_interaction_matrix(quad, power: float, near_factor: float = 2.0):
     """Full symmetric (N, N) matrix w_i w_j / |x_i - x_j|^power, zero diagonal.
 
     Distances one coordinate at a time, reciprocal powers, then the weight
-    products; pairs closer than near_factor local spacings are replaced by
-    the sum over one 4-split of both cells (`quad.split_cells`).
+    products; pairs within near_factor local spacings, ties within 1e-9
+    included, are replaced by the sum over one 4-split of both cells
+    (`quad.split_cells`).
     """
     pts, w = quad.points, quad.weights
     dist = np.zeros((quad.node_count, quad.node_count))
     for k in range(pts.shape[1]):
         dist += np.subtract.outer(pts[:, k], pts[:, k]) ** 2
     dist = np.sqrt(dist)
-    limit = near_factor * np.maximum.outer(quad.spacings, quad.spacings)
-    near_i, near_j = np.nonzero(np.triu((dist < limit) & (dist > 0.0), 1))
+    limit = near_factor * (1.0 + 1e-9) * np.maximum.outer(quad.spacings, quad.spacings)
+    near_i, near_j = np.nonzero(np.triu((dist <= limit) & (dist > 0.0), 1))
     dist **= power
     mat = np.divide(1.0, dist, out=np.zeros_like(dist), where=dist > 0.0)
     mat = np.outer(w, w) * mat

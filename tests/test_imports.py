@@ -56,3 +56,40 @@ def test_no_unused_imports():
         for line, name in unused_imports(path.read_text())
     ]
     assert not found, "imported but never used:\n" + "\n".join(found)
+
+
+def private_core_imports(source: str) -> list:
+    """(line, name) of each private name imported from outside the module's own package.
+
+    Relative imports from the package itself (`from .reports import ...`) are
+    the package's own business; `from ..nonlocal_ops import _x` and
+    `from fracgeo.geometry import _x` reach into the core modules.
+    """
+    return sorted(
+        (alias.lineno, alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level != 1
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+
+
+def test_private_import_finder_sees_what_it_should():
+    source = (
+        "from __future__ import annotations\n"
+        "from .reports import _local, fit\n"
+        "from ..nonlocal_ops import (\n    _chord_values,\n    gagliardo,\n)\n"
+        "from fracgeo.geometry import _norms\n"
+    )
+    assert private_core_imports(source) == [(4, "_chord_values"), (7, "_norms")]
+
+
+def test_checks_import_no_private_names_from_the_core():
+    modules = sorted((ROOT / "src" / "fracgeo" / "inequalities").glob("*.py"))
+    assert len(modules) >= 4
+    found = [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for path in modules
+        for line, name in private_core_imports(path.read_text())
+    ]
+    assert not found, "private names imported from the core modules:\n" + "\n".join(found)

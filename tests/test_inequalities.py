@@ -13,7 +13,7 @@ from fracgeo.geometry import (
     ball_patch_measure,
     sphere_cap_measure,
 )
-from fracgeo.nonlocal_ops import ScalarField, frac_perimeter, halpha_chord
+from fracgeo.nonlocal_ops import ScalarField, frac_perimeter, halpha_at_nodes, halpha_chord
 from fracgeo.inequalities import SUITE_SECTIONS, run_suite
 from fracgeo.inequalities import checks
 from fracgeo.inequalities.corpus import (
@@ -150,16 +150,16 @@ def test_interpolation_random_regions():
 def test_halpha_at_nodes_is_kept_on_the_node_set(name):
     body = load_fixture(name)
     quad = surface_quadrature(body, 80)
-    values = checks.halpha_at_nodes(quad, 0.5)
-    assert checks.halpha_at_nodes(quad, 0.5) is values
+    values = halpha_at_nodes(quad, 0.5)
+    assert halpha_at_nodes(quad, 0.5) is values
     assert not values.flags.writeable
     with pytest.raises(ValueError):
         values[0] = 0.0
-    other = checks.halpha_at_nodes(quad, 0.25)
+    other = halpha_at_nodes(quad, 0.25)
     assert other is not values and set(quad.curvatures) == {0.5, 0.25}
     # a twin node set builds its own, equal array
     twin = surface_quadrature(body, 80)
-    assert checks.halpha_at_nodes(twin, 0.5) is not values
+    assert halpha_at_nodes(twin, 0.5) is not values
     for alpha, got in ((0.5, values), (0.25, other)):
         want = [
             halpha_chord(body, x, alpha, normal=nu).value

@@ -22,6 +22,7 @@ from fracgeo.nonlocal_ops import (
     double_layer,
     frac_perimeter,
     gagliardo,
+    halpha_at_nodes,
     halpha_boundary,
     halpha_chord,
     interaction_matrix,
@@ -149,6 +150,14 @@ def test_curvature_forms_reject_alpha_outside_the_unit_interval(name):
             halpha_chord(body, quad.points[0], alpha, normal=quad.normals[0])
         with pytest.raises(ParamError):
             halpha_boundary(body, quad, 0, alpha)
+
+
+def test_node_curvature_rejects_alpha_before_caching():
+    quad = surface_quadrature(load_fixture("ball2d"), 80)
+    for alpha in (1.5, np.nan):
+        with pytest.raises(ParamError):
+            halpha_at_nodes(quad, alpha)
+    assert quad.curvatures == {}
 
 
 def test_sphere_chord_closed_form():
@@ -449,7 +458,7 @@ def test_batched_near_pairs_match_a_per_pair_loop(name, res):
     pts = quad.points
     dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
     spacing = np.maximum(quad.spacings[:, None], quad.spacings[None, :])
-    near_i, near_j = np.nonzero((dist < 2.0 * spacing) & (dist > 0.0))
+    near_i, near_j = np.nonzero((dist <= 2.0 * (1.0 + 1e-9) * spacing) & (dist > 0.0))
     pairs = [(i, j) for i, j in zip(near_i, near_j) if i < j]
     assert len(pairs) >= quad.node_count
     want, got = [], []
@@ -754,3 +763,61 @@ def test_matched_cap_minimizes_tail():
         cap_mask[np.array(take)] = True
         cap = NodeSubset(quad, cap_mask)
         assert tail_integral(quad, 0, cap, 0.5) <= tail_integral(quad, 0, subset, 0.5) + 1e-9
+
+
+def test_tail_rejects_sp_outside_the_positive_reals():
+    quad = surface_quadrature(unit_disk(), 64)
+    half = NodeSubset(quad, quad.points[:, 0] > 0)
+    for sp in (np.nan, -0.5, 0.0, np.inf):
+        with pytest.raises(ParamError):
+            tail_integral(quad, 0, half, sp)
+
+
+def fixture_quadrature(name, lam=1.0):
+    """The fixture's node set at 256 nodes (curves) or 320 (surfaces), dilated by lam."""
+    body = load_fixture(name)
+    return surface_quadrature(body.scaled(lam), 256 if body.n == 1 else 320)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_weighted_tails_sum_to_the_perimeter(name):
+    # the step that takes the pointwise bound to the set bound: the tails of
+    # a set, weighted by its nodes' weights, add up to its perimeter
+    quad = fixture_quadrature(name)
+    d = np.linalg.norm(quad.points - quad.points[0], axis=1)
+    rng = np.random.default_rng(5)
+    for mask in (d <= 0.8 * np.median(d), rng.random(quad.node_count) < 0.4):
+        subset = NodeSubset(quad, mask)
+        for s in (0.25, 0.5, 0.75):
+            tails = [tail_integral(quad, i, subset, s) for i in np.flatnonzero(mask)]
+            got = float(np.dot(quad.weights[mask], tails))
+            assert got == pytest.approx(frac_perimeter(subset, s), rel=1e-13)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_perimeter_energy_and_tail_scale_under_dilation(name):
+    # pairs that sit on the near threshold stay on the same side of it
+    quad = fixture_quadrature(name)
+    n = quad.n
+    subset = NodeSubset(quad, quad.points[:, 0] > 0.1 * quad.points[:, 1])
+    # the tail is taken at the subset's node nearest the complement, so its
+    # row holds near pairs
+    inside, outside = quad.points[subset.mask], quad.points[~subset.mask]
+    gaps = np.linalg.norm(inside[:, None, :] - outside[None, :, :], axis=2).min(axis=1)
+    i = int(np.flatnonzero(subset.mask)[np.argmin(gaps)])
+    values = np.sin(3.0 * quad.points[:, 0]) + quad.points[:, -1] ** 2
+    for lam in (0.3, 2.5, 1000.0):
+        grown = fixture_quadrature(name, lam)
+        grown_subset = NodeSubset(grown, subset.mask)
+        for s in (0.05, 0.5, 0.95):
+            pairs = (
+                (frac_perimeter(subset, s), frac_perimeter(grown_subset, s), n - s),
+                (
+                    gagliardo(ScalarField(quad, values), s, 2.0),
+                    gagliardo(ScalarField(grown, values), s, 2.0),
+                    n - 2.0 * s,
+                ),
+                (tail_integral(quad, i, subset, s), tail_integral(grown, i, grown_subset, s), -s),
+            )
+            for base, scaled, power in pairs:
+                assert scaled == pytest.approx(lam**power * base, rel=1e-12)
