@@ -446,10 +446,14 @@ class SurfaceQuadrature:
     `spacings` is the cell diameter and drives near-pair thresholds.
     `matrices` holds the read-only pair interactions built on this node
     set, keyed by power (`nonlocal_ops.interaction_matrix`): condensed, in
-    `pdist` order, half the bytes of the matrices `squareform` gives; and
-    `curvatures` the read-only chord-form curvatures at its nodes, keyed by
-    alpha (`nonlocal_ops.halpha_at_nodes`). Both live and die with
-    the node set, so the arrays above must not change once one is built.
+    `pdist` order, half the bytes of the matrices `squareform` gives;
+    `near_pairs` the read-only near-pair geometry every power and every
+    tail share (`nonlocal_ops._near_pairs`): the near pairs, the sub-cell
+    weights of each cell's 4-split and the pairs' sub-cell distances, built
+    at the first interaction sum; and `curvatures` the read-only chord-form
+    curvatures at its nodes, keyed by alpha (`nonlocal_ops.halpha_at_nodes`).
+    All live and die with the node set, so the arrays above must not
+    change once one is built.
     """
 
     body: ConvexBody
@@ -460,6 +464,7 @@ class SurfaceQuadrature:
     spacings: np.ndarray
     patches: np.ndarray = field(repr=False)
     matrices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    near_pairs: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     curvatures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -476,7 +481,8 @@ class SurfaceQuadrature:
     def split_cells(self, nodes):
         """One 4-split of each listed node's cell; returns (points, weights).
 
-        Shaped (k, 4, dim) and (k, 4), a row per node. Sub-cell weights sum
+        Shaped (k, 4, dim) and (k, 4), a row per node, each row the same
+        bits whichever nodes are listed with it. Sub-cell weights sum
         exactly to the parent weight (planar splits are exact quarters;
         spherical splits partition the solid angle).
         """

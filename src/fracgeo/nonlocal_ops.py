@@ -13,14 +13,18 @@ angle of each cell, or on a sphere an integral around each cell's edges.
 
 Perimeters, Gagliardo energies and tails share one pair rule (`_near_pairs`),
 so an indicator's energy is twice its perimeter and a set's weighted tails
-sum to its perimeter, in arithmetic and not just in the limit.
+sum to its perimeter, in arithmetic and not just in the limit. The rule's
+geometry (which pairs are near, their cells' 4-split, the sub-cell
+distances) does not depend on the power: it is built once per node set and
+every power and every tail reads it; only the kernel w w' / d^power is
+formed per power (`_pair_sums`).
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.spatial.distance import pdist
@@ -460,20 +464,60 @@ def _arc_angle(quad, i, include, within):
 # interaction sums
 
 
-def _near_pairs(quad: SurfaceQuadrature, i, j, d, power: float):
-    """Positions of the near pairs among (i, j) at distances d, and their sums:
-    the pairs with 0 < d <= NEAR_FACTOR_PAIRS max(h_i, h_j), h the local
-    spacings, summed as w w' / |y - y'|^power over one 4-split of both cells."""
+class _NearPairs(NamedTuple):
+    """Near-pair geometry of a node set, which no power changes (`_near_pairs`)."""
+
+    first: np.ndarray  # (k,) node i of each near pair i < j
+    second: np.ndarray  # (k,) node j
+    positions: np.ndarray  # (k,) the pair's place in `pdist` order
+    sub_weights: np.ndarray  # (N, 4) sub-cell weights of every cell's 4-split
+    gaps: np.ndarray  # (k, 4, 4) distances from cell i's sub-cells to cell j's
+
+
+def _near_pairs(quad: SurfaceQuadrature, dist: Optional[np.ndarray] = None) -> _NearPairs:
+    """The near pairs of a node set and the geometry of their one 4-split.
+
+    A pair i < j is near when 0 < |x_i - x_j| <= NEAR_FACTOR_PAIRS
+    max(h_i, h_j), h the local spacings and the distances those of `pdist`
+    (`dist`, when the caller has them). Every cell is split once
+    (`split_cells`, whose rows do not depend on which nodes are listed), and
+    the 16 sub-cell distances of each near pair are taken one coordinate at
+    a time, which rounds exactly like `np.linalg.norm`. No power enters:
+    the result is built at the node set's first interaction sum and kept,
+    read-only, in `quad.near_pairs`; `_pair_sums` forms the kernel at a
+    power.
+    """
+    if quad.near_pairs is not None:
+        return quad.near_pairs
+    if dist is None:
+        dist = pdist(quad.points)
     h = quad.spacings
-    near = np.flatnonzero((d > 0.0) & (d <= _NEAR_LIMIT * np.maximum(h[i], h[j])))
-    if not len(near):
-        return near, np.zeros(0)
-    nodes, slot = np.unique(np.concatenate([i[near], j[near]]), return_inverse=True)
-    sub_pts, sub_w = quad.split_cells(nodes)
-    a, b = slot[: len(near)], slot[len(near) :]
-    d = np.linalg.norm(sub_pts[a][:, :, None, :] - sub_pts[b][:, None, :, :], axis=3)
-    terms = sub_w[a][:, :, None] * sub_w[b][:, None, :] / d**power
-    return near, terms.reshape(len(a), -1).sum(axis=1)
+    # pair (i, j), i < j, sits at starts[i] + j - i - 1
+    starts = np.concatenate([[0], np.cumsum(np.arange(quad.node_count - 1, 0, -1))])
+    cand = np.flatnonzero(dist <= _NEAR_LIMIT * h.max())
+    first = np.searchsorted(starts, cand, side="right") - 1
+    second = cand - starts[first] + first + 1
+    d = dist[cand]
+    near = (d > 0.0) & (d <= _NEAR_LIMIT * np.maximum(h[first], h[second]))
+    first, second = first[near], second[near]
+    sub_pts, sub_w = quad.split_cells(np.arange(quad.node_count))
+    gaps = np.zeros((len(first), 4, 4))
+    for x in np.moveaxis(sub_pts, 2, 0).copy():
+        t = x[first][:, :, None] - x[second][:, None, :]
+        t *= t
+        gaps += t
+    np.sqrt(gaps, out=gaps)
+    pairs = _NearPairs(first, second, cand[near], sub_w, gaps)
+    for a in pairs:
+        a.setflags(write=False)
+    quad.near_pairs = pairs
+    return pairs
+
+
+def _pair_sums(w_a, w_b, gaps, power):
+    """Sum of w w' / |y - y'|^power over the 4 x 4 sub-pairs of each near pair."""
+    terms = w_a[:, :, None] * w_b[:, None, :] / gaps**power
+    return terms.reshape(len(gaps), 16).sum(axis=1)
 
 
 def interaction_matrix(quad: SurfaceQuadrature, power: float) -> np.ndarray:
@@ -481,28 +525,27 @@ def interaction_matrix(quad: SurfaceQuadrature, power: float) -> np.ndarray:
 
     Condensed: one entry per unordered pair i < j, in the order of
     `scipy.spatial.distance.pdist`, so `squareform` expands it to the
-    symmetric matrix with a zero diagonal. Near pairs (`_near_pairs`) are
-    re-evaluated on one 4-split level of both cells, all of them in one
-    batched pass. The vector is built once per power and kept in
-    `quad.matrices`, so every call on the same node set returns the same
-    read-only array: copy it before writing.
+    symmetric matrix with a zero diagonal. Near pairs are re-evaluated on
+    one 4-split level of both cells (`_near_pairs`, whose geometry every
+    power shares), all of them in one batched pass. The vector is built once
+    per power and kept in `quad.matrices`, so every call on the same node
+    set returns the same read-only array: copy it before writing.
     """
     key = float(power)
     if key in quad.matrices:
         return quad.matrices[key]
     count, w = quad.node_count, quad.weights
     mat = pdist(quad.points)
-    # pair (i, j), i < j, sits at starts[i] + j - i - 1
-    starts = np.concatenate([[0], np.cumsum(np.arange(count - 1, 0, -1))])
-    cand = np.flatnonzero(mat <= _NEAR_LIMIT * quad.spacings.max())
-    near_i = np.searchsorted(starts, cand, side="right") - 1
-    near_j = cand - starts[near_i] + near_i + 1
-    near, sums = _near_pairs(quad, near_i, near_j, mat[cand], power)
+    near = _near_pairs(quad, mat)
+    sub_w = near.sub_weights
+    sums = _pair_sums(sub_w[near.first], sub_w[near.second], near.gaps, power)
     mat **= power
     np.divide(1.0, mat, out=mat, where=mat > 0.0)
+    start = 0
     for i in range(count - 1):
-        mat[starts[i] : starts[i + 1]] *= w[i] * w[i + 1 :]
-    mat[cand[near]] = sums
+        mat[start : start + count - 1 - i] *= w[i] * w[i + 1 :]
+        start += count - 1 - i
+    mat[near.positions] = sums
     mat.setflags(write=False)
     quad.matrices[key] = mat
     return mat
@@ -533,7 +576,11 @@ def gagliardo(field: ScalarField, s: float, p: float) -> float:
 
 def tail_integral(quad: SurfaceQuadrature, i, subset: NodeSubset, sp: float) -> float:
     """Kernel mass of the subset's complement seen from node i, which it holds:
-    node i's row of the pair interactions at power n + sp, divided by w_i."""
+    node i's row of the pair interactions at power n + sp, divided by w_i.
+
+    Node i's near pairs and their sub-cell distances come from the node
+    set's shared near-pair geometry (`_near_pairs`), turned to put i first.
+    """
     i = _resolve_node(quad, i)
     if not 0.0 < sp < np.inf:
         raise ParamError(f"sp must be positive and finite, got {sp}")
@@ -541,7 +588,16 @@ def tail_integral(quad: SurfaceQuadrature, i, subset: NodeSubset, sp: float) -> 
         raise GeometryError("evaluation node must belong to the subset")
     out, w = np.flatnonzero(~subset.mask), quad.weights
     d = np.linalg.norm(quad.points[out] - quad.points[i], axis=1)
-    near, sums = _near_pairs(quad, np.full(len(out), i), out, d, quad.n + sp)
     row = np.divide(w[i] * w[out], d ** (quad.n + sp), out=np.zeros(len(out)), where=d > 0.0)
-    row[near] = sums
+    near = _near_pairs(quad)
+    # i's near pairs with the complement, by the other node: those below i,
+    # turned to put i first, then those above
+    below = np.flatnonzero(near.second == i)
+    above = np.arange(*np.searchsorted(near.first, [i, i + 1]))
+    below = below[~subset.mask[near.first[below]]]
+    above = above[~subset.mask[near.second[above]]]
+    other = np.concatenate([near.first[below], near.second[above]])
+    gaps = np.concatenate([near.gaps[below].transpose(0, 2, 1), near.gaps[above]])
+    sub_w = near.sub_weights
+    row[np.searchsorted(out, other)] = _pair_sums(sub_w[i][None], sub_w[other], gaps, quad.n + sp)
     return float(row.sum() / w[i])

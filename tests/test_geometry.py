@@ -24,7 +24,7 @@ from fracgeo.geometry import (
     sphere_cap_measure,
     surface_quadrature,
 )
-from fracgeo.fixtures import load_fixture
+from fracgeo.fixtures import FIXTURE_NAMES, load_fixture
 from fracgeo.flow import sample_boundary
 from fracgeo.inequalities import corpus
 from fracgeo.icosphere import (
@@ -391,6 +391,24 @@ def test_split_cells_weights_partition_parent():
         pts, w = quad.split_cells(np.arange(quad.node_count))
         assert pts.shape == (quad.node_count, 4, body.dim)
         np.testing.assert_allclose(w.sum(axis=1), quad.weights, rtol=1e-12)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_split_cells_rows_do_not_depend_on_the_listed_nodes(name):
+    # the near-pair geometry splits every cell once and reads any node's row
+    body = load_fixture(name)
+    rng = np.random.default_rng(7)
+    for res in (64, 640):
+        quad = surface_quadrature(body, res)
+        count = quad.node_count
+        whole = quad.split_cells(np.arange(count))
+        for nodes in (
+            np.flatnonzero(rng.random(count) < 0.3),
+            rng.permutation(count)[: count // 2],
+            np.array([count - 1]),
+        ):
+            for part, rows in zip(quad.split_cells(nodes), whole):
+                assert part.tobytes() == rows[nodes].tobytes()
 
 
 def test_convexity_node_pair_invariant():

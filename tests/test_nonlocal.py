@@ -448,6 +448,42 @@ def test_interaction_matrix_is_built_once_per_power():
     assert set(quad.matrices) == {1.5, 2.5}
 
 
+def test_near_pair_geometry_is_built_once_per_node_set(monkeypatch):
+    quad, twin = (surface_quadrature(load_fixture("cube"), 192) for _ in range(2))
+    calls = {"split_cells": 0, "split4": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(
+        SurfaceQuadrature, "split_cells", counted("split_cells", SurfaceQuadrature.split_cells))
+    monkeypatch.setattr("fracgeo.geometry.split4", counted("split4", split4))
+    assert quad.near_pairs is None and calls == {"split_cells": 0, "split4": 0}
+    interaction_matrix(quad, 2.5)
+    near = quad.near_pairs
+    assert calls == {"split_cells": 1, "split4": 1}
+    # a second power and repeated tails reuse the split and the sub-distances
+    interaction_matrix(quad, 3.0)
+    subset = NodeSubset(quad, quad.points[:, 0] > 0.0)
+    for i in np.flatnonzero(subset.mask)[:8]:
+        tail_integral(quad, i, subset, 0.5)
+    assert calls == {"split_cells": 1, "split4": 1}
+    assert quad.near_pairs is near
+    assert len(near.first) >= quad.node_count
+    for arr in near:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    # a tail asked first builds the same geometry
+    tail_integral(twin, 0, NodeSubset(twin, twin.points[:, 0] > 0.0), 0.5)
+    assert calls == {"split_cells": 2, "split4": 2}
+    for a, b in zip(twin.near_pairs, near):
+        assert a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize(
     "name, res", [("square", 64), ("ball2d", 96), ("cube", 192), ("ball3d", 320)]
 )
@@ -471,6 +507,42 @@ def test_batched_near_pairs_match_a_per_pair_loop(name, res):
     want = np.array(want)
     got = np.array(got)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "name, res", [("square", 64), ("ball2d", 96), ("cube", 192), ("ball3d", 320)]
+)
+def test_tails_match_a_per_pair_loop(name, res):
+    # each near pair is summed with node i's sub-cells first, whichever way
+    # round the shared geometry holds it
+    quad = surface_quadrature(load_fixture(name), res)
+    pts, sp = quad.points, 0.5
+    flipped = 0
+    for mask in (pts[:, 0] > 0.1 * pts[:, 1], pts[:, 0] <= 0.1 * pts[:, 1]):
+        subset, out = NodeSubset(quad, mask), np.flatnonzero(~mask)
+        gaps = np.linalg.norm(pts[mask][:, None, :] - pts[out][None, :, :], axis=2).min(axis=1)
+        flipped += _check_tails(quad, subset, np.flatnonzero(mask)[np.argsort(gaps)[:8]], sp)
+    assert flipped > 0
+
+
+def _check_tails(quad, subset, nodes, sp):
+    """Assert each node's tail equals the per-pair loop's bit for bit; count
+    the near pairs whose other node comes first."""
+    pts, w, power = quad.points, quad.weights, quad.n + sp
+    out, flipped = np.flatnonzero(~subset.mask), 0
+    for i in nodes:
+        d = np.linalg.norm(pts[out] - pts[i], axis=1)
+        row = w[i] * w[out] / d**power
+        near = d <= 2.0 * (1.0 + 1e-9) * np.maximum(quad.spacings[i], quad.spacings[out])
+        pi, wi = oracles.split_cell(quad, i)
+        for k in np.flatnonzero(near):
+            po, wo = oracles.split_cell(quad, out[k])
+            dd = np.linalg.norm(pi[:, None, :] - po[None, :, :], axis=2)
+            row[k] = float(np.sum(np.outer(wi, wo) / dd**power))
+        flipped += np.count_nonzero(out[near] < i)
+        want = float(row.sum() / w[i])
+        assert np.float64(tail_integral(quad, i, subset, sp)).tobytes() == np.float64(want).tobytes()
+    return flipped
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

@@ -13,8 +13,10 @@ the same verdict, pass -> fail, or fail -> pass. For each record name that
 has records that differ, the summary prints how many differ and the largest
 relative change of lhs and of rhs among them.
 
-Then `halpha` in both forms with `--count 16` and `seminorm` run on each of
-the six fixtures; `flow --markers 64` on ball2d, square and thinrect;
+Then `halpha` in both forms with `--count 16`, `seminorm` at its defaults
+and `seminorm --surface-resolution 640 --s 0.9 --p 1` (a node set with many
+near pairs, at a second power) run on each of the six fixtures;
+`flow --markers 64` on ball2d, square and thinrect;
 `flow --body ball2d --markers 80 --alpha 0.75`, the run on which the step
 limiter stays active; and `flow --body ball2d --markers 8`, the fewest
 markers a flow accepts. Each command is printed as identical or differing
@@ -43,6 +45,11 @@ COMMANDS = [
     for body in FIXTURES for form in ("chord", "boundary")
 ]
 COMMANDS += [["seminorm", "--body", body] for body in FIXTURES]
+# many near pairs, at a second power
+COMMANDS += [
+    ["seminorm", "--body", body, "--surface-resolution", "640", "--s", "0.9", "--p", "1"]
+    for body in FIXTURES
+]
 COMMANDS += [
     ["flow", "--body", body, "--markers", "64"] for body in ("ball2d", "square", "thinrect")
 ]
