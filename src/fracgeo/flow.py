@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.spatial import ConvexHull
 
 from .geometry import (
@@ -93,6 +92,8 @@ class FlowTrace:
     ending: str = "running"
     resampled_steps: list = field(default_factory=list)
     rehull_steps: list = field(default_factory=list)
+    # steps whose Heun prediction folded and which took the forward step
+    fallback_steps: list = field(default_factory=list)
     t_star_num: Optional[float] = None
 
     def extinction_estimate(self) -> float:
@@ -156,9 +157,11 @@ class _MarkerEvaluator:
     <x_j - x_i, n_j> / (cos theta <t_i, n_j> - sin theta <b_i, n_j>).
 
     Per-cell and per-pair arrays that numpy can fill in place are views of
-    `workspace`, grow-only buffers refilled on every call; each evaluator (one
-    per flow run) owns its own, shared with no other run or thread, and no
-    returned array aliases it.
+    `workspace`, grow-only buffers refilled on every call; the index tables
+    that depend only on the marker count sit there too, under (name, count),
+    built at that count's first call and only read after. Each evaluator (one
+    per flow run) owns its own workspace, shared with no other run or thread,
+    and no returned array aliases it.
     """
 
     def __init__(self, alpha: float):
@@ -177,11 +180,23 @@ class _MarkerEvaluator:
             buf = self.workspace[name] = np.empty(max(size, room), dtype)
         return buf[:size].reshape(shape)
 
+    def _indices(self, count: int):
+        """Index tables of a marker count: the vertices following each marker
+        (i + 1 + k mod count), the flat exit-edge index (2 count + 1) i + 1 + k
+        of those vertices, and the marker of each of the 2 count end cells."""
+        if ("following", count) not in self.workspace:
+            rows, ks = np.arange(count)[:, None], np.arange(1, count)
+            self.workspace["following", count] = (rows + ks) % count
+            self.workspace["edges", count] = (2 * count + 1) * rows + ks
+            self.workspace["end rows", count] = np.arange(2 * count) % count
+        return [self.workspace[name, count] for name in ("following", "edges", "end rows")]
+
     def __call__(self, markers: np.ndarray, frame=None):
         """Curvature, turns, bisectors and edge lengths at the markers;
         `frame` is marker_frame(markers) when the caller already has it."""
         alpha, buffer, count = self.alpha, self._buffer, len(markers)
         u, n, turns, bis, duals, lengths = frame or marker_frame(markers)
+        following, edges, end_rows = self._indices(count)
         gaps = np.maximum(turns, 0.0) / 2.0
 
         # Marker i's live cells first[i] .. last[i] of the rule are stored
@@ -198,13 +213,15 @@ class _MarkerEvaluator:
         np.concatenate([self.rule[:, i:j] for i, j in spans], axis=1, out=cells[:3])
 
         # Exit edges without testing every edge: seen from marker i the other
-        # vertices i+1, ..., i+m-1 (a window of the doubled markers) appear at
-        # increasing angles, and a ray whose angle falls between vertices i+k
-        # and i+k+1 leaves through edge i+k. On the cells' theta scale a vertex
-        # sits at the gap plus its rotation past the forward edge, the first at
-        # the gap itself, and lands on the first live cell at or past it.
-        ahead = sliding_window_view(np.tile(markers.T, 2)[:, 1:-1], count - 1, axis=1)
-        diff = np.subtract(ahead, markers.T[:, :, None], out=buffer("diff", ahead.shape))
+        # vertices i+1, ..., i+m-1 (row i of `following`) appear at increasing
+        # angles, and a ray whose angle falls between vertices i+k and i+k+1
+        # leaves through edge i+k. On the cells' theta scale a vertex sits at
+        # the gap plus its rotation past the forward edge, the first at the
+        # gap itself, and lands on the first live cell at or past it.
+        diff = buffer("diff", (2, count, count - 1))
+        for axis in (0, 1):
+            np.take(markers[:, axis], following, out=diff[axis])
+        diff -= markers.T[:, :, None]
         psi = np.arctan2(diff[1], diff[0], out=buffer("psi", (count, count - 1)))
         step = np.subtract(psi[:, 1:], psi[:, :-1], out=buffer("step", (count, count - 2)))
         wrap = np.less(step, -np.pi, out=buffer("wrap", step.shape, bool))
@@ -213,7 +230,8 @@ class _MarkerEvaluator:
         seen = np.cumsum(step, axis=1, out=buffer("seen", step.shape))
         seen += gaps[:, None]
         found = np.searchsorted(self.thetas, seen)
-        np.clip(found, first[:, None], (last + 1)[:, None], out=found)
+        np.maximum(found, first[:, None], out=found)
+        np.minimum(found, (last + 1)[:, None], out=found)
         # Marker i's rays leave through edge i + 1 from its first cell up to
         # its first landing, and through edge i + 2 + k from landing k up to
         # the next one or past its last cell. Edge i + 1 + k is the flat index
@@ -223,16 +241,16 @@ class _MarkerEvaluator:
         runs[:, 0] = found[:, 0] - first
         np.subtract(found[:, 1:], found[:, :-1], out=runs[:, 1:-1])
         runs[:, -1] = last + 1 - found[:, -1]
-        edges = buffer("edges", runs.shape, np.intp)
-        np.add.outer((2 * count + 1) * np.arange(count), np.arange(1, count), out=edges)
         exits = np.repeat(edges, runs.ravel())
 
         # only a run's two end cells can reach past the cone; the cut ones
         # get their clipped width, their midpoint angle and their own count
         # of the vertices at or before it, the first vertex always among them
-        ends, end_rows = np.concatenate([start, start + live - 1]), np.arange(2 * count) % count
+        ends = np.concatenate([start, start + live - 1])
         cell = self.cells[np.concatenate([first, last])]
-        clipped = np.clip(cell, gaps[end_rows, None], np.pi - gaps[end_rows, None])
+        cone = gaps[end_rows, None]
+        clipped = np.maximum(cell, cone)
+        np.minimum(clipped, np.pi - cone, out=clipped)
         cut = (clipped != cell).any(axis=1)
         mid = 0.5 * (clipped[:, 0] + clipped[:, 1])
         before = buffer("before", (2, count, count - 2), bool)
@@ -242,7 +260,9 @@ class _MarkerEvaluator:
         cos_th[ends], sin_th[ends] = np.cos(mid), np.sin(mid)
         exits[ends] = end_rows * (2 * count + 1) + 1 + passed[cut]
 
-        tangent = np.stack([-bis[:, 1], bis[:, 0]], axis=1)
+        tangent = buffer("tangent", (count, 2))
+        np.negative(bis[:, 1], out=tangent[:, 0])
+        tangent[:, 1] = bis[:, 0]
         numer, tn, bn = tables = buffer("tables", (3, count, 2 * count))
         for table, vectors in zip(tables[:, :, :count], (markers, tangent, bis)):
             np.matmul(vectors, n.T, out=table)
@@ -331,6 +351,8 @@ def flow(
         markers = np.array(initial, dtype=float)
         if markers.ndim != 2 or markers.shape[1] != 2 or len(markers) < 8:
             raise GeometryError("markers must be an (m, 2) array, m >= 8")
+        if not np.isfinite(markers).all():
+            raise GeometryError("markers must be finite")
         if _signed_area(markers) < 0.0:
             markers = markers[::-1].copy()
     frame = marker_frame(markers)
@@ -356,15 +378,20 @@ def flow(
 
         # Heun step: correct with the velocity at the predicted front. A
         # folded prediction (hairpin tips overshooting) casts near-zero
-        # chords and poisons the average, so only a convex one is trusted.
+        # chords and poisons the average, so only a convex one is trusted;
+        # its frame decides that before any chord sum is spent on it.
         predicted = markers - dt * values[:, None] * bis
+        velocity = values[:, None] * bis
         try:
-            values2, turns2, bis2, _ = evaluate(predicted)
-            if turns2.min() < -TURN_TOLERANCE or _signed_area(predicted) <= 0.0:
-                raise StepCollapseError("predicted front folded")
-            velocity = 0.5 * (values[:, None] * bis + values2[:, None] * bis2)
+            frame2 = marker_frame(predicted)
+            folded = frame2[2].min() < -TURN_TOLERANCE or _signed_area(predicted) <= 0.0
         except StepCollapseError:
-            velocity = values[:, None] * bis
+            folded = True
+        if folded:
+            trace.fallback_steps.append(step + 1)
+        else:
+            values2, _, bis2, _ = evaluate(predicted, frame2)
+            velocity = 0.5 * (velocity + values2[:, None] * bis2)
         markers = markers - dt * velocity
         t += dt
 

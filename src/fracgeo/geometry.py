@@ -118,9 +118,16 @@ def _surface_tol(body: ConvexBody) -> float:
 
 
 def _signed_area(v: np.ndarray) -> float:
-    """Shoelace area of a closed polygon, positive for counter-clockwise order."""
-    w = np.roll(v, -1, axis=0)
-    return float(0.5 * np.sum(v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]))
+    """Shoelace area of a closed polygon, positive for counter-clockwise order.
+
+    Term i is x_i y_(i+1) - x_(i+1) y_i, the wrapping one last, summed as one
+    array so the rounding is that of the shoelace over rolled copies.
+    """
+    x, y = v[:, 0], v[:, 1]
+    cross = np.empty(len(v))
+    np.subtract(x[:-1] * y[1:], x[1:] * y[:-1], out=cross[:-1])
+    cross[-1] = x[-1] * y[0] - x[0] * y[-1]
+    return float(0.5 * cross.sum())
 
 
 class _Polytope:

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from fracgeo.fixtures import load_fixture
-from fracgeo.geometry import Ball, GeometryError, make_body
+from fracgeo.geometry import Ball, GeometryError, _signed_area, make_body
 from fracgeo.flow import (
+    TURN_TOLERANCE,
     FlowOptions,
     FlowState,
     FlowTrace,
@@ -200,6 +201,14 @@ def test_evaluator_matches_reference():
             assert np.abs(got - ref).max() < 1e-12 * ref.max()
 
 
+def test_evaluator_given_the_frame_is_bit_identical():
+    for alpha in (0.1, 0.75):
+        ev = _MarkerEvaluator(alpha)
+        for markers in MARKER_SETS:
+            given = ev(markers, marker_frame(markers))
+            assert all(np.array_equal(a, b) for a, b in zip(given, ev(markers)))
+
+
 def test_evaluator_matches_the_exact_marker_model():
     # worst seen 8.9e-5, on the square and the thin rectangle at alpha 0.9;
     # circles and the 11-gon stay under 1.5e-5
@@ -244,10 +253,17 @@ def test_warm_evaluator_allocates_no_new_buffer():
     ev = _MarkerEvaluator(ALPHA)
     markers = WORKSPACE_MARKERS[64]
     ev(markers)
+    # the per-count index tables are workspace entries too
+    assert {("following", 64), ("edges", 64), ("end rows", 64)} <= set(ev.workspace)
     addresses = {name: buf.ctypes.data for name, buf in ev.workspace.items()}
     for again in (markers, 0.5 * markers, circle_markers(64)):
         ev(again)
         assert {name: buf.ctypes.data for name, buf in ev.workspace.items()} == addresses
+    # a second count adds its own tables and leaves the first count's in place
+    ev(WORKSPACE_MARKERS[8])
+    for key in (("following", 64), ("edges", 64), ("end rows", 64)):
+        assert ev.workspace[key].ctypes.data == addresses[key]
+    assert ("following", 8) in ev.workspace
 
 
 @pytest.mark.parametrize("name", ["ball2d", "square"])
@@ -266,6 +282,52 @@ def test_flow_records_the_curvature_of_its_markers(name, monkeypatch):
 
 # ---------------------------------------------------------------------------
 # full runs
+
+
+def _folded(markers):
+    """The flow's test for a front it must not correct with: a dent past the
+    turn tolerance, markers that marker_frame rejects, or no enclosed area."""
+    try:
+        turns = marker_frame(markers)[2]
+    except GeometryError:
+        return True
+    return turns.min() < -TURN_TOLERANCE or _signed_area(markers) <= 0.0
+
+
+@pytest.fixture(scope="module")
+def limiter_run():
+    # the step limiter stays active on this run and most predictions fold
+    calls = []
+    call = _MarkerEvaluator.__call__
+
+    def watched(self, markers, frame=None):
+        calls.append(_folded(markers))
+        return call(self, markers, frame)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_MarkerEvaluator, "__call__", watched)
+        trace = flow(load_fixture("ball2d"), 0.75, FlowOptions(markers=80))
+    return trace, calls
+
+
+def test_no_folded_front_reaches_the_evaluator(limiter_run):
+    trace, calls = limiter_run
+    assert trace.ending == "extinct"
+    assert not any(calls)
+
+
+def test_folded_predictions_skip_the_chord_sums(limiter_run):
+    trace, calls = limiter_run
+    # the prediction of every state but the last, from its recorded speed
+    folds = []
+    for k, state in enumerate(trace.states[:-1]):
+        bis = marker_frame(state.markers)[3]
+        if _folded(state.markers - state.dt * state.halpha[:, None] * bis):
+            folds.append(k + 1)
+    assert trace.fallback_steps == folds
+    assert len(folds) > len(trace.states) // 2
+    kept = len(trace.states) - 1 - len(folds)
+    assert len(calls) == len(trace.states) + kept
 
 
 def test_circle_run_hits_oracle_extinction_time(circle_trace):
@@ -394,6 +456,11 @@ def test_flow_rejects_bad_initial_data():
     dented[3] *= 0.2
     with pytest.raises(GeometryError, match="convex"):
         flow(dented, ALPHA, FlowOptions(markers=32))
+    for bad in (np.nan, np.inf, -np.inf):
+        poisoned = circle_markers(32)
+        poisoned[5, 1] = bad
+        with pytest.raises(GeometryError, match="finite"):
+            flow(poisoned, ALPHA, FlowOptions(markers=32))
 
 
 def test_flow_raises_when_step_budget_runs_out(monkeypatch):

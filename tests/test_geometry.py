@@ -16,6 +16,7 @@ from fracgeo.geometry import (
     ResolutionTooLowError,
     TargetOutOfRangeError,
     NodeSubset,
+    _signed_area,
     ball_intersection_volume,
     ball_patch_measure,
     make_body,
@@ -785,6 +786,23 @@ def test_polygon_area_is_the_divergence_identity():
             want = 0.5 * (radius * sphere_cap_measure(body, x, radius) + h @ chords)
             got = ball_intersection_volume(body, x, radius)
             assert got == pytest.approx(want, rel=1e-11, abs=1e-13 * radius**2)
+
+
+def test_signed_area_is_the_rolled_shoelace_bit_for_bit():
+    def rolled(v):
+        w = np.roll(v, -1, axis=0)
+        return float(0.5 * np.sum(v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]))
+
+    rng = np.random.default_rng(29)
+    shapes = [load_fixture(name).vertices for name in ("square", "thinrect")]
+    shapes += [regular_polygon(k, 1.3).vertices for k in (3, 7, 64)]
+    shapes += [corpus.random_ellipse_polygon(rng).vertices for _ in range(4)]
+    shapes += [sample_boundary(load_fixture(name), count)
+               for name in ("ball2d", "square", "thinrect") for count in (8, 64, 80, 257)]
+    shapes += [rng.normal(size=(count, 2)) for count in (3, 16, 129, 1000)]
+    for v in shapes:
+        for order in (v, v[::-1]):
+            assert np.array_equal(_signed_area(order), rolled(order))
 
 
 def _random_rotation(rng, dim):

@@ -19,7 +19,9 @@ near pairs, at a second power) run on each of the six fixtures;
 `flow --markers 64` on ball2d, square and thinrect;
 `flow --body ball2d --markers 80 --alpha 0.75`, the run on which the step
 limiter stays active; and `flow --body ball2d --markers 8`, the fewest
-markers a flow accepts. Each command is printed as identical or differing
+markers a flow accepts. Every flow command passes `--report-states 20001`,
+more than any run's state count, so each state's record is compared rather
+than a sample of about 40. Each command is printed as identical or differing
 by its standard output, or as broken when its exit codes differ.
 
 The exit status is 1 when any record goes from pass to fail, when a verify
@@ -50,12 +52,15 @@ COMMANDS += [
     ["seminorm", "--body", body, "--surface-resolution", "640", "--s", "0.9", "--p", "1"]
     for body in FIXTURES
 ]
+# a flow records at most MAX_STEPS + 1 = 20,001 states, so every one is reported
+EVERY_STATE = ["--report-states", "20001"]
 COMMANDS += [
-    ["flow", "--body", body, "--markers", "64"] for body in ("ball2d", "square", "thinrect")
+    ["flow", "--body", body, "--markers", "64", *EVERY_STATE]
+    for body in ("ball2d", "square", "thinrect")
 ]
 COMMANDS += [
-    ["flow", "--body", "ball2d", "--markers", "80", "--alpha", "0.75"],
-    ["flow", "--body", "ball2d", "--markers", "8"],
+    ["flow", "--body", "ball2d", "--markers", "80", "--alpha", "0.75", *EVERY_STATE],
+    ["flow", "--body", "ball2d", "--markers", "8", *EVERY_STATE],
 ]
 THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
