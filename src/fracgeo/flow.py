@@ -12,7 +12,6 @@ identities and the extinction time can be read off afterwards.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -147,7 +146,7 @@ def classical_curvature(markers: np.ndarray) -> np.ndarray:
 
 
 class _MarkerEvaluator:
-    """Vectorized clipped chord sums for all markers of one flow run.
+    """Vectorized clipped chord sums for the markers of one flow run.
 
     The graded theta cells with their widths, cosines and sines are built
     once. Per call, the sorted cells inside each marker's entry cone
@@ -156,47 +155,43 @@ class _MarkerEvaluator:
     exit edge j, and tables over the pairs (i, j) give the chord as
     <x_j - x_i, n_j> / (cos theta <t_i, n_j> - sin theta <b_i, n_j>).
 
-    Per-cell and per-pair arrays that numpy can fill in place are views of
-    `workspace`, grow-only buffers refilled on every call; the index tables
-    that depend only on the marker count sit there too, under (name, count),
-    built at that count's first call and only read after. Each evaluator (one
-    per flow run) owns its own workspace, shared with no other run or thread,
-    and no returned array aliases it.
+    A run keeps its marker count (re-hulls are resampled back to it in the
+    same step), so the index tables of that count and every array a call
+    fills in place are built here once, the per-cell ones with room for a
+    whole rule per marker. Each evaluator belongs to one run, shared with no
+    other run or thread, and no returned array aliases its arrays.
     """
 
-    def __init__(self, alpha: float):
+    def __init__(self, alpha: float, count: int):
         self.alpha = alpha
         self.thetas, self.cells = graded_half_rule(alpha, RULE_SIZE)
         self.lower, self.upper = self.cells.T.copy()
         self.rule = np.stack([self.upper - self.lower, np.cos(self.thetas), np.sin(self.thetas)])
         self.gap_nodes, self.gap_widths = graded_interval(alpha, GAP_NODES, 1.0)
-        self.workspace = {}
-
-    def _buffer(self, name: str, shape: tuple, dtype=float, room: int = 0) -> np.ndarray:
-        """This shape's view of a named grow-only buffer of at least `room` items."""
-        size = math.prod(shape)
-        buf = self.workspace.get(name)
-        if buf is None or buf.size < size:
-            buf = self.workspace[name] = np.empty(max(size, room), dtype)
-        return buf[:size].reshape(shape)
-
-    def _indices(self, count: int):
-        """Index tables of a marker count: the vertices following each marker
-        (i + 1 + k mod count), the flat exit-edge index (2 count + 1) i + 1 + k
-        of those vertices, and the marker of each of the 2 count end cells."""
-        if ("following", count) not in self.workspace:
-            rows, ks = np.arange(count)[:, None], np.arange(1, count)
-            self.workspace["following", count] = (rows + ks) % count
-            self.workspace["edges", count] = (2 * count + 1) * rows + ks
-            self.workspace["end rows", count] = np.arange(2 * count) % count
-        return [self.workspace[name, count] for name in ("following", "edges", "end rows")]
+        # the vertices following each marker (i + 1 + k mod count), the flat
+        # exit-edge index (2 count + 1) i + 1 + k of those vertices, and the
+        # marker of each of the 2 count end cells
+        rows, ks = np.arange(count)[:, None], np.arange(1, count)
+        self.following = (rows + ks) % count
+        self.edges = (2 * count + 1) * rows + ks
+        self.end_rows = np.arange(2 * count) % count
+        room = count * len(self.thetas)
+        self.per_cell, self.flags = np.empty((4, room)), np.empty((2, room), bool)
+        self.diff = np.empty((2, count, count - 1))
+        self.psi = np.empty((count, count - 1))
+        self.step, self.seen = np.empty((2, count, count - 2))
+        self.wrap = np.empty((count, count - 2), bool)
+        self.runs = np.empty((count, count - 1), np.intp)
+        self.before = np.empty((2, count, count - 2), bool)
+        self.tangent = np.empty((count, 2))
+        self.tables = np.empty((3, count, 2 * count))
 
     def __call__(self, markers: np.ndarray, frame=None):
-        """Curvature, turns, bisectors and edge lengths at the markers;
-        `frame` is marker_frame(markers) when the caller already has it."""
-        alpha, buffer, count = self.alpha, self._buffer, len(markers)
+        """Curvature, turns, bisectors and edge lengths at the markers, as
+        many as the run's count; `frame` is marker_frame(markers) when the
+        caller already has it."""
+        alpha, count = self.alpha, len(markers)
         u, n, turns, bis, duals, lengths = frame or marker_frame(markers)
-        following, edges, end_rows = self._indices(count)
         gaps = np.maximum(turns, 0.0) / 2.0
 
         # Marker i's live cells first[i] .. last[i] of the rule are stored
@@ -206,9 +201,8 @@ class _MarkerEvaluator:
         live = np.searchsorted(self.lower, np.pi - gaps) - first
         start = np.cumsum(live) - live
         last = first + live - 1
-        # room for a whole rule per marker: a count once seen never regrows
-        total, room = int(start[-1] + live[-1]), count * len(self.thetas)
-        widths, cos_th, sin_th, denom = cells = buffer("cells", (4, total), room=4 * room)
+        total = int(start[-1] + live[-1])
+        widths, cos_th, sin_th, denom = cells = self.per_cell[:, :total]
         spans = zip(first.tolist(), (last + 1).tolist())
         np.concatenate([self.rule[:, i:j] for i, j in spans], axis=1, out=cells[:3])
 
@@ -218,16 +212,15 @@ class _MarkerEvaluator:
         # leaves through edge i+k. On the cells' theta scale a vertex sits at
         # the gap plus its rotation past the forward edge, the first at the
         # gap itself, and lands on the first live cell at or past it.
-        diff = buffer("diff", (2, count, count - 1))
+        diff, psi, step, seen, runs = self.diff, self.psi, self.step, self.seen, self.runs
         for axis in (0, 1):
-            np.take(markers[:, axis], following, out=diff[axis])
+            np.take(markers[:, axis], self.following, out=diff[axis])
         diff -= markers.T[:, :, None]
-        psi = np.arctan2(diff[1], diff[0], out=buffer("psi", (count, count - 1)))
-        step = np.subtract(psi[:, 1:], psi[:, :-1], out=buffer("step", (count, count - 2)))
-        wrap = np.less(step, -np.pi, out=buffer("wrap", step.shape, bool))
-        np.add(step, 2.0 * np.pi, out=step, where=wrap)
+        np.arctan2(diff[1], diff[0], out=psi)
+        np.subtract(psi[:, 1:], psi[:, :-1], out=step)
+        np.add(step, 2.0 * np.pi, out=step, where=np.less(step, -np.pi, out=self.wrap))
         np.maximum(step, 0.0, out=step)
-        seen = np.cumsum(step, axis=1, out=buffer("seen", step.shape))
+        np.cumsum(step, axis=1, out=seen)
         seen += gaps[:, None]
         found = np.searchsorted(self.thetas, seen)
         np.maximum(found, first[:, None], out=found)
@@ -237,33 +230,31 @@ class _MarkerEvaluator:
         # the next one or past its last cell. Edge i + 1 + k is the flat index
         # i (2 count + 1) + 1 + k of the tables below, whose row i holds its
         # (i, j) entries twice over.
-        runs = buffer("runs", (count, count - 1), np.intp)
         runs[:, 0] = found[:, 0] - first
         np.subtract(found[:, 1:], found[:, :-1], out=runs[:, 1:-1])
         runs[:, -1] = last + 1 - found[:, -1]
-        exits = np.repeat(edges, runs.ravel())
+        exits = np.repeat(self.edges, runs.ravel())
 
         # only a run's two end cells can reach past the cone; the cut ones
         # get their clipped width, their midpoint angle and their own count
         # of the vertices at or before it, the first vertex always among them
         ends = np.concatenate([start, start + live - 1])
         cell = self.cells[np.concatenate([first, last])]
-        cone = gaps[end_rows, None]
+        cone = gaps[self.end_rows, None]
         clipped = np.maximum(cell, cone)
         np.minimum(clipped, np.pi - cone, out=clipped)
         cut = (clipped != cell).any(axis=1)
         mid = 0.5 * (clipped[:, 0] + clipped[:, 1])
-        before = buffer("before", (2, count, count - 2), bool)
-        passed = np.less_equal(seen, mid.reshape(2, count, 1), out=before).sum(axis=2).ravel()
-        ends, end_rows, (lo, hi), mid = ends[cut], end_rows[cut], clipped[cut].T, mid[cut]
+        passed = np.less_equal(seen, mid.reshape(2, count, 1), out=self.before).sum(axis=2).ravel()
+        ends, end_rows, (lo, hi), mid = ends[cut], self.end_rows[cut], clipped[cut].T, mid[cut]
         widths[ends] = hi - lo
         cos_th[ends], sin_th[ends] = np.cos(mid), np.sin(mid)
         exits[ends] = end_rows * (2 * count + 1) + 1 + passed[cut]
 
-        tangent = buffer("tangent", (count, 2))
+        tangent, tables = self.tangent, self.tables
         np.negative(bis[:, 1], out=tangent[:, 0])
         tangent[:, 1] = bis[:, 0]
-        numer, tn, bn = tables = buffer("tables", (3, count, 2 * count))
+        numer, tn, bn = tables
         for table, vectors in zip(tables[:, :, :count], (markers, tangent, bis)):
             np.matmul(vectors, n.T, out=table)
         np.subtract((markers * n).sum(axis=1), numer[:, :count], out=numer[:, :count])
@@ -273,11 +264,10 @@ class _MarkerEvaluator:
         np.multiply(cos_th, np.take(tn, exits, out=denom, mode="wrap"), out=denom)
         denom -= np.multiply(sin_th, np.take(bn, exits, out=cos_th, mode="wrap"), out=cos_th)
         rho = np.take(numer, exits, out=sin_th, mode="wrap")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rho /= denom
-        # rays that graze or never leave forward contribute inf**(-alpha) = 0
-        ok, forward = buffer("flags", (2, total), bool, 2 * room)
-        np.greater(denom, RAY_EPSILON, out=ok)
+        # rays that graze or never leave forward contribute inf**(-alpha) = 0;
+        # the grazing ones are never divided
+        ok, forward = self.flags[:, :total]
+        np.divide(rho, denom, out=rho, where=np.greater(denom, RAY_EPSILON, out=ok))
         ok &= np.greater(rho, 0.0, out=forward)
         np.copyto(rho, np.inf, where=np.logical_not(ok, out=ok))
         rho **= -alpha
@@ -359,9 +349,9 @@ def flow(
     if frame[2].min() < -TURN_TOLERANCE:
         raise GeometryError("initial markers are not convex")
 
-    evaluate = _MarkerEvaluator(alpha)
     trace = FlowTrace(alpha=alpha, options=options)
     area0, count = _signed_area(markers), len(markers)
+    evaluate = _MarkerEvaluator(alpha, count)
     area, t = area0, 0.0
     for step in range(MAX_STEPS):
         values, turns, bis, lengths = evaluate(markers, frame)
@@ -403,7 +393,7 @@ def flow(
             trace.resampled_steps.append(step + 1)
             frame = None
         area = _signed_area(markers)
-        if len(markers) < 8 or area <= 0.0:
+        if area <= 0.0:
             if area < 0.05 * area0:
                 trace.ending = "collapse"
                 break

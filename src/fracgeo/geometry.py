@@ -88,12 +88,6 @@ class Params:
         return self.n * self.p / (self.n - self.sp)
 
 
-def _frozen(a) -> np.ndarray:
-    out = np.ascontiguousarray(np.asarray(a, dtype=float))
-    out.setflags(write=False)
-    return out
-
-
 def _store(body, **arrays):
     """Set a body's derived arrays, computed once at construction, read-only.
 
@@ -265,6 +259,9 @@ class Ball:
 
     is_polytope = False
 
+    def __post_init__(self):
+        _store(self, center=np.array(self.center, dtype=float))
+
     @property
     def n(self) -> int:
         return self.dim - 1
@@ -289,7 +286,7 @@ class Ball:
         return inside if points.ndim > 1 else bool(inside[0])
 
     def scaled(self, lam: float) -> "Ball":
-        return Ball(self.dim, _frozen(self.center * lam), self.radius * lam)
+        return Ball(self.dim, self.center * lam, self.radius * lam)
 
 
 ConvexBody = Union[Polygon2D, Hull3D, Ball]
@@ -435,7 +432,7 @@ def make_body(description: dict) -> ConvexBody:
         center = _finite(description, "center", np.zeros(dim))
         if center.shape != (dim,):
             raise DegenerateError("ball center has wrong dimension")
-        return Ball(dim, _frozen(center), radius)
+        return Ball(dim, center, radius)
     raise DegenerateError(f"unknown body type {kind!r}")
 
 
@@ -451,16 +448,16 @@ class SurfaceQuadrature:
     split (`split_cells`): segment endpoints for polygon edges, angle
     intervals for circles, triangle corners for hull faces and sphere cells.
     `spacings` is the cell diameter and drives near-pair thresholds.
-    `matrices` holds the read-only pair interactions built on this node
-    set, keyed by power (`nonlocal_ops.interaction_matrix`): condensed, in
-    `pdist` order, half the bytes of the matrices `squareform` gives;
-    `near_pairs` the read-only near-pair geometry every power and every
-    tail share (`nonlocal_ops._near_pairs`): the near pairs, the sub-cell
-    weights of each cell's 4-split and the pairs' sub-cell distances, built
-    at the first interaction sum; and `curvatures` the read-only chord-form
-    curvatures at its nodes, keyed by alpha (`nonlocal_ops.halpha_at_nodes`).
-    All live and die with the node set, so the arrays above must not
-    change once one is built.
+    `cache` holds what is built on the node set and lives and dies with it,
+    stored read-only by `keep`: the pair interactions under ("matrix",
+    power) (`nonlocal_ops.interaction_matrix`), condensed in `pdist` order,
+    half the bytes of the matrices `squareform` gives; the near-pair
+    geometry every power and every tail share under "near pairs"
+    (`nonlocal_ops._near_pairs`): the near pairs, the sub-cell weights of
+    each cell's 4-split and the pairs' sub-cell distances, built at the
+    first interaction sum; and the chord-form curvatures at the nodes under
+    ("halpha", alpha) (`nonlocal_ops.halpha_at_nodes`). So that none of it
+    goes stale, the node arrays are read-only too.
     """
 
     body: ConvexBody
@@ -470,9 +467,20 @@ class SurfaceQuadrature:
     facet_ids: np.ndarray
     spacings: np.ndarray
     patches: np.ndarray = field(repr=False)
-    matrices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    near_pairs: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-    curvatures: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for a in (self.points, self.normals, self.weights, self.facet_ids, self.spacings,
+                  self.patches):
+            a.setflags(write=False)
+
+    def keep(self, key, value):
+        """Store `value`, an array or a tuple of them, read-only in the cache
+        under `key`, and return it."""
+        for a in value if isinstance(value, tuple) else (value,):
+            a.setflags(write=False)
+        self.cache[key] = value
+        return value
 
     @property
     def node_count(self) -> int:

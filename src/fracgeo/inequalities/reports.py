@@ -3,7 +3,8 @@
 Every check produces an InequalityReport: the two sides of the bound, the
 constant used with its provenance, the margin, and enough context (params,
 resolution, seed) to rerun it. A check passes when margin >= -tolerance;
-identity-style checks put the deviation in lhs and the allowance in rhs.
+identity checks (`identity_report`) put the value in lhs and the target in
+rhs, and only gauss-law puts its worst deviation in lhs, its allowance in rhs.
 """
 
 from __future__ import annotations

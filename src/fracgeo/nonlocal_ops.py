@@ -150,13 +150,11 @@ def _chord_values(body: ConvexBody, points: np.ndarray, alpha: float):
 
 def halpha_at_nodes(quad: SurfaceQuadrature, alpha: float) -> np.ndarray:
     """Chord-form curvature at every node in one batched pass, built once per
-    alpha and kept read-only in `quad.curvatures`: the same array each call."""
-    key = float(Params(quad.n, alpha).alpha)  # rejects alpha outside (0, 1)
-    if key not in quad.curvatures:
-        vals = _chord_values(quad.body, quad.points, alpha)[0]
-        vals.setflags(write=False)
-        quad.curvatures[key] = vals
-    return quad.curvatures[key]
+    alpha and kept read-only in `quad.cache`: the same array each call."""
+    key = ("halpha", float(Params(quad.n, alpha).alpha))  # rejects alpha outside (0, 1)
+    if key in quad.cache:
+        return quad.cache[key]
+    return quad.keep(key, _chord_values(quad.body, quad.points, alpha)[0])
 
 
 def _hull_halpha(body: Hull3D, points: np.ndarray, alpha: float):
@@ -307,18 +305,18 @@ def double_layer(
     (`_sphere_cell_angle`).
     """
     i = _resolve_node(quad, i)
-    include = subset.mask if subset is not None else None
+    active = np.ones(quad.node_count, dtype=bool) if subset is None else subset.mask
     body = quad.body
     if isinstance(body, Polygon2D):
-        return _polygon_angle(quad, i, include, within)
+        return _polygon_angle(quad, i, active, within)
     if body.n == 1:
-        return _arc_angle(quad, i, include, within)
+        return _arc_angle(quad, i, active, within)
     if isinstance(body, Hull3D):
-        return _hull_cell_angle(quad, i, include, within)
-    return _sphere_cell_angle(quad, i, include, within)
+        return _hull_cell_angle(quad, i, active, within)
+    return _sphere_cell_angle(quad, i, active, within)
 
 
-def _hull_cell_angle(quad, i, include, within):
+def _hull_cell_angle(quad, i, active, within):
     """Solid angle the active flat cells subtend from node i, each clipped to the ball.
 
     Cells in the node's facet plane subtend nothing. Unrestricted, each
@@ -327,7 +325,6 @@ def _hull_cell_angle(quad, i, include, within):
     """
     body = quad.body
     pt = quad.points[i]
-    active = slice(None) if include is None else np.asarray(include, dtype=bool)
     cells, ids = quad.patches[active], quad.facet_ids[active]
     flat = _surface_tol(body)
     if within is None:
@@ -339,7 +336,7 @@ def _hull_cell_angle(quad, i, include, within):
     return float(pieces[3].sum())
 
 
-def _sphere_cell_angle(quad, i, include, within):
+def _sphere_cell_angle(quad, i, active, within):
     """Solid angle of the active sphere cells from node i's point x, within
     the ball of radius r.
 
@@ -356,9 +353,6 @@ def _sphere_cell_angle(quad, i, include, within):
     e = quad.normals[i]
     units = (quad.patches - body.center) / body.radius
     top = 1.0 if within is None else min(within / (2.0 * body.radius), 1.0)
-    active = np.ones(quad.node_count, dtype=bool)
-    if include is not None:
-        active &= np.asarray(include, dtype=bool)
     cells = units[active]
     ends = cells[:, [1, 2, 0]]
     value = float(_arc_terms(e, cells.reshape(-1, 3), ends.reshape(-1, 3), top).sum())
@@ -427,12 +421,10 @@ def _arc_terms(e, a, b, top):
     return np.sign(sigma) * total
 
 
-def _polygon_angle(quad, i, include, within):
+def _polygon_angle(quad, i, active, within):
     """Angle the active edge cells subtend from node i, each clipped to the disk."""
     pt = quad.points[i]
-    active = quad.facet_ids != quad.facet_ids[i]
-    if include is not None:
-        active &= np.asarray(include, dtype=bool)
+    active = active & (quad.facet_ids != quad.facet_ids[i])
     a = quad.patches[active, 0] - pt
     b = quad.patches[active, 1] - pt
     if within is not None:
@@ -443,7 +435,7 @@ def _polygon_angle(quad, i, include, within):
     return float(np.arctan2(cross, np.vecdot(a, b)).sum())
 
 
-def _arc_angle(quad, i, include, within):
+def _arc_angle(quad, i, active, within):
     """Half the central angle of the active arc cells, node i's own included.
 
     That is the angle an arc subtends from a point of its circle. Clipped to
@@ -452,7 +444,7 @@ def _arc_angle(quad, i, include, within):
     """
     body = quad.body
     rel = quad.points[i] - body.center
-    cells = quad.patches if include is None else quad.patches[np.asarray(include, dtype=bool)]
+    cells = quad.patches[active]
     lo = (cells[:, 0] - np.arctan2(rel[1], rel[0]) + np.pi) % (2.0 * np.pi) - np.pi
     hi = lo + (cells[:, 1] - cells[:, 0])
     w = np.pi if within is None else 2.0 * np.arcsin(min(within / (2.0 * body.radius), 1.0))
@@ -484,11 +476,10 @@ def _near_pairs(quad: SurfaceQuadrature, dist: Optional[np.ndarray] = None) -> _
     the 16 sub-cell distances of each near pair are taken one coordinate at
     a time, which rounds exactly like `np.linalg.norm`. No power enters:
     the result is built at the node set's first interaction sum and kept,
-    read-only, in `quad.near_pairs`; `_pair_sums` forms the kernel at a
-    power.
+    read-only, in `quad.cache`; `_pair_sums` forms the kernel at a power.
     """
-    if quad.near_pairs is not None:
-        return quad.near_pairs
+    if "near pairs" in quad.cache:
+        return quad.cache["near pairs"]
     if dist is None:
         dist = pdist(quad.points)
     h = quad.spacings
@@ -507,11 +498,7 @@ def _near_pairs(quad: SurfaceQuadrature, dist: Optional[np.ndarray] = None) -> _
         t *= t
         gaps += t
     np.sqrt(gaps, out=gaps)
-    pairs = _NearPairs(first, second, cand[near], sub_w, gaps)
-    for a in pairs:
-        a.setflags(write=False)
-    quad.near_pairs = pairs
-    return pairs
+    return quad.keep("near pairs", _NearPairs(first, second, cand[near], sub_w, gaps))
 
 
 def _pair_sums(w_a, w_b, gaps, power):
@@ -528,12 +515,12 @@ def interaction_matrix(quad: SurfaceQuadrature, power: float) -> np.ndarray:
     symmetric matrix with a zero diagonal. Near pairs are re-evaluated on
     one 4-split level of both cells (`_near_pairs`, whose geometry every
     power shares), all of them in one batched pass. The vector is built once
-    per power and kept in `quad.matrices`, so every call on the same node
-    set returns the same read-only array: copy it before writing.
+    per power and kept in `quad.cache`, so every call on the same node set
+    returns the same read-only array: copy it before writing.
     """
-    key = float(power)
-    if key in quad.matrices:
-        return quad.matrices[key]
+    key = ("matrix", float(power))
+    if key in quad.cache:
+        return quad.cache[key]
     count, w = quad.node_count, quad.weights
     mat = pdist(quad.points)
     near = _near_pairs(quad, mat)
@@ -546,9 +533,7 @@ def interaction_matrix(quad: SurfaceQuadrature, power: float) -> np.ndarray:
         mat[start : start + count - 1 - i] *= w[i] * w[i + 1 :]
         start += count - 1 - i
     mat[near.positions] = sums
-    mat.setflags(write=False)
-    quad.matrices[key] = mat
-    return mat
+    return quad.keep(key, mat)
 
 
 def frac_perimeter(subset: NodeSubset, s: float) -> float:

@@ -23,7 +23,7 @@ from fracgeo.flow import (
     resample_equal_arclength,
     sample_boundary,
 )
-from fracgeo.inequalities.corpus import regular_polygon
+from fracgeo.inequalities.corpus import random_ellipse_polygon, regular_polygon
 
 import oracles
 
@@ -145,7 +145,7 @@ def test_resample_stays_on_polyline_with_equal_arcs():
 
 
 def evaluate(markers, alpha):
-    return _MarkerEvaluator(alpha)(markers)[0]
+    return _MarkerEvaluator(alpha, len(markers))(markers)[0]
 
 
 def test_marker_halpha_circle_uniform_and_accurate():
@@ -194,17 +194,16 @@ MARKER_SETS = (
 
 def test_evaluator_matches_reference():
     for alpha in (0.1, 0.5, 0.75, 0.9):
-        ev = _MarkerEvaluator(alpha)
         for markers in MARKER_SETS:
             ref = oracles.marker_rule_sum(markers, alpha)
-            got = ev(markers)[0]
+            got = evaluate(markers, alpha)
             assert np.abs(got - ref).max() < 1e-12 * ref.max()
 
 
 def test_evaluator_given_the_frame_is_bit_identical():
     for alpha in (0.1, 0.75):
-        ev = _MarkerEvaluator(alpha)
         for markers in MARKER_SETS:
+            ev = _MarkerEvaluator(alpha, len(markers))
             given = ev(markers, marker_frame(markers))
             assert all(np.array_equal(a, b) for a, b in zip(given, ev(markers)))
 
@@ -213,57 +212,65 @@ def test_evaluator_matches_the_exact_marker_model():
     # worst seen 8.9e-5, on the square and the thin rectangle at alpha 0.9;
     # circles and the 11-gon stay under 1.5e-5
     for alpha in (0.1, 0.5, 0.75, 0.9):
-        ev = _MarkerEvaluator(alpha)
         for markers in MARKER_SETS:
             exact = oracles.marker_halpha_exact(markers, alpha)
-            got = ev(markers)[0]
+            got = evaluate(markers, alpha)
             assert np.abs(got - exact).max() < 1.5e-4 * exact.max()
 
 
-WORKSPACE_MARKERS = {
-    8: circle_markers(8),
-    256: circle_markers(256),
-    64: sample_boundary(unit_square(), 64),
-}
-
-
-@pytest.mark.parametrize("alpha", [0.5, 0.9])
-def test_evaluator_workspace_reuse_is_bit_identical(alpha):
-    # the workspace grows at 256 markers and is refilled at fewer
-    ev = _MarkerEvaluator(alpha)
-    for count in (8, 256, 64, 8):
-        markers = WORKSPACE_MARKERS[count]
-        got = ev(markers)
-        fresh = _MarkerEvaluator(alpha)(markers)
-        assert all(np.array_equal(a, b) for a, b in zip(got, fresh))
+def _arrays(ev):
+    """The evaluator's arrays, by attribute name."""
+    return {name: a for name, a in vars(ev).items() if isinstance(a, np.ndarray)}
 
 
 def test_evaluator_results_do_not_alias_its_workspace():
-    ev = _MarkerEvaluator(ALPHA)
-    results = ev(WORKSPACE_MARKERS[64])
+    markers = sample_boundary(unit_square(), 64)
+    ev = _MarkerEvaluator(ALPHA, 64)
+    results = ev(markers)
     kept = [r.copy() for r in results]
     for r in results:
-        assert not any(np.shares_memory(r, buf) for buf in ev.workspace.values())
-    ev(WORKSPACE_MARKERS[256])
-    ev(WORKSPACE_MARKERS[64] * 1.5)
+        assert not any(np.shares_memory(r, a) for a in _arrays(ev).values())
+    ev(circle_markers(64))
+    ev(markers * 1.5)
     assert all(np.array_equal(r, k) for r, k in zip(results, kept))
 
 
 def test_warm_evaluator_allocates_no_new_buffer():
-    ev = _MarkerEvaluator(ALPHA)
-    markers = WORKSPACE_MARKERS[64]
-    ev(markers)
-    # the per-count index tables are workspace entries too
-    assert {("following", 64), ("edges", 64), ("end rows", 64)} <= set(ev.workspace)
-    addresses = {name: buf.ctypes.data for name, buf in ev.workspace.items()}
+    markers = sample_boundary(unit_square(), 64)
+    ev = _MarkerEvaluator(ALPHA, 64)
+    # the count's index tables and the work arrays are built with the evaluator
+    addresses = {name: a.ctypes.data for name, a in _arrays(ev).items()}
+    assert {"following", "edges", "end_rows", "per_cell", "flags", "tables"} <= set(addresses)
+    assert ev.cells.shape == (len(ev.thetas), 2)
     for again in (markers, 0.5 * markers, circle_markers(64)):
         ev(again)
-        assert {name: buf.ctypes.data for name, buf in ev.workspace.items()} == addresses
-    # a second count adds its own tables and leaves the first count's in place
-    ev(WORKSPACE_MARKERS[8])
-    for key in (("following", 64), ("edges", 64), ("end rows", 64)):
-        assert ev.workspace[key].ctypes.data == addresses[key]
-    assert ("following", 8) in ev.workspace
+        assert {name: a.ctypes.data for name, a in _arrays(ev).items()} == addresses
+
+
+def test_each_flow_evaluates_one_marker_count():
+    # the five benchmarked flows, the limiter-active disk among them: re-hulls
+    # are resampled back to the run's count before the next evaluation
+    ellipse = random_ellipse_polygon(np.random.default_rng([0, 2]))
+    runs = (("ball2d", 0.5, 64), ("ball2d", 0.75, 80), ("square", 0.5, 64),
+            ("thinrect", 0.5, 64), (ellipse, 0.5, 64))
+    call, rehulls = _MarkerEvaluator.__call__, 0
+    for body, alpha, count in runs:
+        seen = []
+
+        def watched(self, markers, frame=None):
+            seen.append((id(self), len(markers)))
+            return call(self, markers, frame)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_MarkerEvaluator, "__call__", watched)
+            trace = flow(load_fixture(body) if isinstance(body, str) else body,
+                         alpha, FlowOptions(markers=count))
+        assert trace.ending == "extinct" and len(seen) >= len(trace.states)
+        assert len({ident for ident, _ in seen}) == 1
+        assert {m for _, m in seen} == {count}
+        rehulls += len(trace.rehull_steps)
+    # a re-hull drops markers; the limiter-active disk alone re-hulls on most steps
+    assert rehulls > 100
 
 
 @pytest.mark.parametrize("name", ["ball2d", "square"])

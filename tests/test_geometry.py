@@ -190,6 +190,25 @@ def test_body_freezes_a_copy_of_its_vertices():
     assert hull.perimeter() == pytest.approx(6.0, rel=1e-12)
 
 
+def test_node_sets_and_ball_centers_are_read_only():
+    # what is cached on a node set is built from these arrays
+    for name in ("square", "ball2d", "cube", "ball3d"):
+        quad = surface_quadrature(load_fixture(name), 64)
+        for attr in ("points", "normals", "weights", "facet_ids", "spacings", "patches"):
+            with pytest.raises(ValueError):
+                getattr(quad, attr)[0] = 0
+    center = np.array([0.5, -0.25])
+    balls = [Ball(2, center, 1.0), make_body({"type": "ball", "dim": 3, "radius": 2.0})]
+    balls += [b for _, b in corpus.body_corpus(0, 4, 4) if isinstance(b, Ball)]
+    assert len(balls) == 4
+    for ball in balls + [balls[0].scaled(2.0)]:
+        with pytest.raises(ValueError):
+            ball.center[0] = 1.0
+    # the ball keeps a copy: its caller's array stays writable and apart
+    center[0] = 9.0
+    assert balls[0].center[0] == 0.5
+
+
 @pytest.mark.parametrize("name", ["square", "cube", "ball2d", "ball3d"])
 def test_contains_accepts_lists_and_tuples(name):
     body = load_fixture(name)

@@ -156,7 +156,7 @@ def test_halpha_at_nodes_is_kept_on_the_node_set(name):
     with pytest.raises(ValueError):
         values[0] = 0.0
     other = halpha_at_nodes(quad, 0.25)
-    assert other is not values and set(quad.curvatures) == {0.5, 0.25}
+    assert other is not values and set(quad.cache) == {("halpha", 0.5), ("halpha", 0.25)}
     # a twin node set builds its own, equal array
     twin = surface_quadrature(body, 80)
     assert halpha_at_nodes(twin, 0.5) is not values

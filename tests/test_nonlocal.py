@@ -157,7 +157,7 @@ def test_node_curvature_rejects_alpha_before_caching():
     for alpha in (1.5, np.nan):
         with pytest.raises(ParamError):
             halpha_at_nodes(quad, alpha)
-    assert quad.curvatures == {}
+    assert quad.cache == {}
 
 
 def test_sphere_chord_closed_form():
@@ -445,7 +445,7 @@ def test_interaction_matrix_is_built_once_per_power():
     upper = NodeSubset(quad, quad.points[:, 1] > 0)
     frac_perimeter(upper, 0.5)
     gagliardo(ScalarField.indicator(upper), 0.5, 1.0)
-    assert set(quad.matrices) == {1.5, 2.5}
+    assert set(quad.cache) == {("matrix", 1.5), ("matrix", 2.5), "near pairs"}
 
 
 def test_near_pair_geometry_is_built_once_per_node_set(monkeypatch):
@@ -461,9 +461,9 @@ def test_near_pair_geometry_is_built_once_per_node_set(monkeypatch):
     monkeypatch.setattr(
         SurfaceQuadrature, "split_cells", counted("split_cells", SurfaceQuadrature.split_cells))
     monkeypatch.setattr("fracgeo.geometry.split4", counted("split4", split4))
-    assert quad.near_pairs is None and calls == {"split_cells": 0, "split4": 0}
+    assert "near pairs" not in quad.cache and calls == {"split_cells": 0, "split4": 0}
     interaction_matrix(quad, 2.5)
-    near = quad.near_pairs
+    near = quad.cache["near pairs"]
     assert calls == {"split_cells": 1, "split4": 1}
     # a second power and repeated tails reuse the split and the sub-distances
     interaction_matrix(quad, 3.0)
@@ -471,7 +471,7 @@ def test_near_pair_geometry_is_built_once_per_node_set(monkeypatch):
     for i in np.flatnonzero(subset.mask)[:8]:
         tail_integral(quad, i, subset, 0.5)
     assert calls == {"split_cells": 1, "split4": 1}
-    assert quad.near_pairs is near
+    assert quad.cache["near pairs"] is near
     assert len(near.first) >= quad.node_count
     for arr in near:
         assert not arr.flags.writeable
@@ -480,7 +480,7 @@ def test_near_pair_geometry_is_built_once_per_node_set(monkeypatch):
     # a tail asked first builds the same geometry
     tail_integral(twin, 0, NodeSubset(twin, twin.points[:, 0] > 0.0), 0.5)
     assert calls == {"split_cells": 2, "split4": 2}
-    for a, b in zip(twin.near_pairs, near):
+    for a, b in zip(twin.cache["near pairs"], near):
         assert a.tobytes() == b.tobytes()
 
 
