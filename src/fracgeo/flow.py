@@ -1,10 +1,11 @@
 """Front-tracking flow of convex planar curves by fractional curvature.
 
 Markers move along inward bisector normals at the speed given by the
-chord-form curvature. Directions inside a marker's entry cone see the true
-polygon chords; the two near-tangent gaps, where a vertex would otherwise
-contribute nothing, are integrated against the osculating circle built from
-the discrete curvature. Steps are Heun-corrected with a CFL-limited dt, the
+chord-form curvature of the marker polygon, summed in closed form: every
+edge not through a marker adds its exact share, and the two near-tangent
+gaps, where a vertex would otherwise contribute nothing, see the osculating
+circle built from the discrete curvature (`docs/chord_formula.md`, "The
+flow's markers"). Steps are Heun-corrected with a CFL-limited dt, the
 polyline is re-hulled when weak convexity breaks and resampled to equal
 arclength on a fixed cadence, and traces record every state so the decay
 identities and the extinction time can be read off afterwards.
@@ -16,25 +17,23 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.spatial import ConvexHull
+from scipy.special import beta
 
 from .geometry import (
     Ball, ConvexBody, GeometryError, Params, Polygon2D, _edge_pieces, _signed_area,
     _vertex_diameter,
 )
-from .quadrature import graded_half_rule, graded_interval
+from .quadrature import sine_power_mean
 
-# graded directions per marker's chord sum
-RULE_SIZE = 480
-GAP_NODES = 24
-# grazing-ray threshold for the chord denominators
-RAY_EPSILON = 1e-12
 TURN_TOLERANCE = 1e-7  # weak convexity: collinear runs pass, real dents re-hull
 # dt = CFL * min(min_edge, 2 area/perimeter) / max_curvature; the second
 # scale is what a thin body collapses across. The explicit step has a
 # stability limit that tightens as alpha grows: the fastest mode, markers
 # alternating in and out on a circle, stiffens like markers**(1 + alpha).
-# At CFL 0.25 its measured dt * lambda is 0.34 / 2.05 / 9.44 / 22.7 at 256
+# At CFL 0.25 its dt * lambda, measured with the graded ray rule the chord
+# sums used before they were exact, is 0.34 / 2.05 / 9.44 / 22.7 at 256
 # markers and 0.27 / 1.25 / 4.51 / 9.39 at 96, for alpha 0.25 / 0.5 / 0.75
 # / 0.9, against Heun's real-axis limit of 2: the default resolution sits
 # just past it at alpha = 0.5. Past the limit the highest mode rings, the
@@ -145,142 +144,116 @@ def classical_curvature(markers: np.ndarray) -> np.ndarray:
     return turns / duals
 
 
+def _horner(coefficients, x, out):
+    """The polynomial with these coefficients, lowest first, at x, written
+    into out (not x itself) by Horner's rule."""
+    out.fill(coefficients[-1])
+    for c in coefficients[-2::-1]:
+        out *= x
+        out += c
+    return out
+
+
 class _MarkerEvaluator:
-    """Vectorized clipped chord sums for the markers of one flow run.
+    """Closed-form chord sums for the markers of one flow run.
 
-    The graded theta cells with their widths, cosines and sines are built
-    once. Per call, the sorted cells inside each marker's entry cone
-    (gap, pi - gap) form one run of live cells, of which the cone clips at
-    most the two ends; one search of the vertex angles names every ray's
-    exit edge j, and tables over the pairs (i, j) give the chord as
-    <x_j - x_i, n_j> / (cos theta <t_i, n_j> - sin theta <b_i, n_j>).
+    Marker i sums, over the count - 2 edges j not through it, the edge's
+    exact share h^-alpha [G(phi_b) - G(phi_a)] of the chord form, with G the
+    integral of cos^alpha from 0 and phi an end's angle from the edge's
+    normal. The ends sit at s_a = <x_j - x_i, u_j> and s_b = s_a + L_j along
+    the edge's line, at height h = <x_j - x_i, n_j>. With psi = atan2(h, |s|),
+    G(phi) = sign(s) (G(pi/2) - S(psi)) and S(psi) = psi sin^alpha(psi)
+    M(psi^2), M fitted once (`sine_power_mean`). As h^-alpha sin^alpha(psi)
+    = r^-alpha, an end at distance r adds sign(s) psi r^-alpha M(psi^2), one
+    power per vertex; only an edge that straddles i's foot point adds
+    2 G(pi/2) h^-alpha as well, so an edge with both ends on one side never
+    subtracts two O(1) numbers. An edge whose h is at most 1e-9 times the
+    marker's largest coordinate offset is collinear with it and adds
+    nothing. The two gaps of half the turn g at a vertex see the osculating
+    circle of radius R = dual / turn and add 2 g (2R sin g)^-alpha
+    M_-alpha(g^2), the same fit at exponent -alpha (`docs/chord_formula.md`).
 
-    A run keeps its marker count (re-hulls are resampled back to it in the
-    same step), so the index tables of that count and every array a call
-    fills in place are built here once, the per-cell ones with room for a
-    whole rule per marker. Each evaluator belongs to one run, shared with no
-    other run or thread, and no returned array aliases its arrays.
+    `cells[k, :, i]` is edge i + 1 + k, the k-th edge marker i counts: its
+    start, unit tangent and length, a view of `ring`, which holds them for
+    every edge twice around. A run keeps its marker count (re-hulls are
+    resampled back to it in the same step), so every array a call fills in
+    place is built here once. Each evaluator belongs to one run, shared with
+    no other run or thread, and no returned array aliases its arrays.
     """
 
     def __init__(self, alpha: float, count: int):
         self.alpha = alpha
-        self.thetas, self.cells = graded_half_rule(alpha, RULE_SIZE)
-        self.lower, self.upper = self.cells.T.copy()
-        self.rule = np.stack([self.upper - self.lower, np.cos(self.thetas), np.sin(self.thetas)])
-        self.gap_nodes, self.gap_widths = graded_interval(alpha, GAP_NODES, 1.0)
-        # the vertices following each marker (i + 1 + k mod count), the flat
-        # exit-edge index (2 count + 1) i + 1 + k of those vertices, and the
-        # marker of each of the 2 count end cells
-        rows, ks = np.arange(count)[:, None], np.arange(1, count)
-        self.following = (rows + ks) % count
-        self.edges = (2 * count + 1) * rows + ks
-        self.end_rows = np.arange(2 * count) % count
-        room = count * len(self.thetas)
-        self.per_cell, self.flags = np.empty((4, room)), np.empty((2, room), bool)
-        self.diff = np.empty((2, count, count - 1))
-        self.psi = np.empty((count, count - 1))
-        self.step, self.seen = np.empty((2, count, count - 2))
-        self.wrap = np.empty((count, count - 2), bool)
-        self.runs = np.empty((count, count - 1), np.intp)
-        self.before = np.empty((2, count, count - 2), bool)
-        self.tangent = np.empty((count, 2))
-        self.tables = np.empty((3, count, 2 * count))
+        self.mean, self.gap_mean = sine_power_mean(alpha), sine_power_mean(-alpha)
+        self.quarter = 0.5 * beta(0.5 * (1.0 + alpha), 0.5)  # G(pi/2)
+        self.ring = np.empty((5, 2 * count))
+        self.cells = sliding_window_view(self.ring, count, axis=1)[:, 1:-2].transpose(1, 0, 2)
+        pairs = (count - 2, count)
+        self.offset = np.empty((2, *pairs))
+        self.height, self.work = np.empty((2, *pairs))
+        self.along, self.elevation, self.terms = np.empty((3, 2, *pairs))
+        self.reach = np.empty((count - 1, count))
+        self.seen, self.straddle = np.empty((2, *pairs), bool)
+        self.below = np.empty((2, *pairs), bool)
 
     def __call__(self, markers: np.ndarray, frame=None):
         """Curvature, turns, bisectors and edge lengths at the markers, as
         many as the run's count; `frame` is marker_frame(markers) when the
         caller already has it."""
         alpha, count = self.alpha, len(markers)
-        u, n, turns, bis, duals, lengths = frame or marker_frame(markers)
-        gaps = np.maximum(turns, 0.0) / 2.0
+        u, _, turns, bis, duals, lengths = frame or marker_frame(markers)
+        ring = self.ring
+        ring[:2, :count], ring[2:4, :count], ring[4, :count] = markers.T, u.T, lengths
+        ring[:, count:] = ring[:, :count]
+        xj, yj, ux, uy, lj = self.cells.transpose(1, 0, 2)
+        dx, dy = self.offset
+        np.subtract(xj, markers[:, 0], out=dx)
+        np.subtract(yj, markers[:, 1], out=dy)
+        # the ends s_a, s_b = s_a + L_j along edge j, and its height h
+        s, h, work = self.along, self.height, self.work
+        np.multiply(dx, ux, out=s[0])
+        s[0] += np.multiply(dy, uy, out=work)
+        np.add(s[0], lj, out=s[1])
+        np.multiply(dx, uy, out=h)
+        h -= np.multiply(dy, ux, out=work)
+        # r^-alpha of vertex i + 1 + k; the last counted edge ends at vertex
+        # i - 1, at the length of edge i - 1
+        reach = self.reach
+        np.multiply(dx, dx, out=reach[:-1])
+        reach[:-1] += np.multiply(dy, dy, out=work)
+        np.square(ring[4, count - 1:-1], out=reach[-1])
+        np.power(reach, -0.5 * alpha, out=reach)
+        # a collinear edge gets h = 0, so psi = 0 and it adds nothing
+        xy = ring[:2, :count]
+        lo, hi = xy.min(axis=1, keepdims=True), xy.max(axis=1, keepdims=True)
+        flat = 1e-9 * np.maximum(hi - xy, xy - lo).max(axis=0)
+        seen = np.greater(h, flat, out=self.seen)
+        h *= seen
 
-        # Marker i's live cells first[i] .. last[i] of the rule are stored
-        # flat from start[i]. marker_frame's fold check keeps gaps under pi/2,
-        # so the cell starting at pi/2 is always live.
-        first = np.searchsorted(self.upper, gaps, side="right")
-        live = np.searchsorted(self.lower, np.pi - gaps) - first
-        start = np.cumsum(live) - live
-        last = first + live - 1
-        total = int(start[-1] + live[-1])
-        widths, cos_th, sin_th, denom = cells = self.per_cell[:, :total]
-        spans = zip(first.tolist(), (last + 1).tolist())
-        np.concatenate([self.rule[:, i:j] for i, j in spans], axis=1, out=cells[:3])
+        # sign(s) psi r^-alpha M(psi^2) at both ends; x = psi^2 takes the
+        # storage of s once its signs are read
+        psi, terms = self.elevation, self.terms
+        np.absolute(s, out=psi)
+        np.arctan2(h, psi, out=psi)
+        np.copysign(psi, s, out=psi)
+        below = np.signbit(s, out=self.below)
+        x = np.multiply(psi, psi, out=s)
+        _horner(self.mean, x, terms)
+        terms *= psi
+        terms[0] *= reach[:-1]
+        terms[1] *= reach[1:]
+        values = np.subtract(terms[0], terms[1], out=work).sum(axis=0)
+        # an edge across i's foot point adds 2 G(pi/2) h^-alpha
+        straddle = np.greater(below[0], below[1], out=self.straddle)
+        straddle &= seen
+        hit = np.flatnonzero(straddle)
+        values += 2.0 * self.quarter * np.bincount(hit % count, h.ravel()[hit] ** -alpha, count)
 
-        # Exit edges without testing every edge: seen from marker i the other
-        # vertices i+1, ..., i+m-1 (row i of `following`) appear at increasing
-        # angles, and a ray whose angle falls between vertices i+k and i+k+1
-        # leaves through edge i+k. On the cells' theta scale a vertex sits at
-        # the gap plus its rotation past the forward edge, the first at the
-        # gap itself, and lands on the first live cell at or past it.
-        diff, psi, step, seen, runs = self.diff, self.psi, self.step, self.seen, self.runs
-        for axis in (0, 1):
-            np.take(markers[:, axis], self.following, out=diff[axis])
-        diff -= markers.T[:, :, None]
-        np.arctan2(diff[1], diff[0], out=psi)
-        np.subtract(psi[:, 1:], psi[:, :-1], out=step)
-        np.add(step, 2.0 * np.pi, out=step, where=np.less(step, -np.pi, out=self.wrap))
-        np.maximum(step, 0.0, out=step)
-        np.cumsum(step, axis=1, out=seen)
-        seen += gaps[:, None]
-        found = np.searchsorted(self.thetas, seen)
-        np.maximum(found, first[:, None], out=found)
-        np.minimum(found, (last + 1)[:, None], out=found)
-        # Marker i's rays leave through edge i + 1 from its first cell up to
-        # its first landing, and through edge i + 2 + k from landing k up to
-        # the next one or past its last cell. Edge i + 1 + k is the flat index
-        # i (2 count + 1) + 1 + k of the tables below, whose row i holds its
-        # (i, j) entries twice over.
-        runs[:, 0] = found[:, 0] - first
-        np.subtract(found[:, 1:], found[:, :-1], out=runs[:, 1:-1])
-        runs[:, -1] = last + 1 - found[:, -1]
-        exits = np.repeat(self.edges, runs.ravel())
-
-        # only a run's two end cells can reach past the cone; the cut ones
-        # get their clipped width, their midpoint angle and their own count
-        # of the vertices at or before it, the first vertex always among them
-        ends = np.concatenate([start, start + live - 1])
-        cell = self.cells[np.concatenate([first, last])]
-        cone = gaps[self.end_rows, None]
-        clipped = np.maximum(cell, cone)
-        np.minimum(clipped, np.pi - cone, out=clipped)
-        cut = (clipped != cell).any(axis=1)
-        mid = 0.5 * (clipped[:, 0] + clipped[:, 1])
-        passed = np.less_equal(seen, mid.reshape(2, count, 1), out=self.before).sum(axis=2).ravel()
-        ends, end_rows, (lo, hi), mid = ends[cut], self.end_rows[cut], clipped[cut].T, mid[cut]
-        widths[ends] = hi - lo
-        cos_th[ends], sin_th[ends] = np.cos(mid), np.sin(mid)
-        exits[ends] = end_rows * (2 * count + 1) + 1 + passed[cut]
-
-        tangent, tables = self.tangent, self.tables
-        np.negative(bis[:, 1], out=tangent[:, 0])
-        tangent[:, 1] = bis[:, 0]
-        numer, tn, bn = tables
-        for table, vectors in zip(tables[:, :, :count], (markers, tangent, bis)):
-            np.matmul(vectors, n.T, out=table)
-        np.subtract((markers * n).sum(axis=1), numer[:, :count], out=numer[:, :count])
-        tables[:, :, count:] = tables[:, :, :count]
-        # the gathers reuse the cosines' and sines' storage once consumed; the
-        # exits are in range, and mode="wrap" writes to `out` without a copy
-        np.multiply(cos_th, np.take(tn, exits, out=denom, mode="wrap"), out=denom)
-        denom -= np.multiply(sin_th, np.take(bn, exits, out=cos_th, mode="wrap"), out=cos_th)
-        rho = np.take(numer, exits, out=sin_th, mode="wrap")
-        # rays that graze or never leave forward contribute inf**(-alpha) = 0;
-        # the grazing ones are never divided
-        ok, forward = self.flags[:, :total]
-        np.divide(rho, denom, out=rho, where=np.greater(denom, RAY_EPSILON, out=ok))
-        ok &= np.greater(rho, 0.0, out=forward)
-        np.copyto(rho, np.inf, where=np.logical_not(ok, out=ok))
-        rho **= -alpha
-        rho *= widths
-        values = np.add.reduceat(rho, start)
-
-        vertexed = gaps > 0.0
-        if vertexed.any():
-            rosc = duals[vertexed] / turns[vertexed]
-            gn = gaps[vertexed, None] * self.gap_nodes[None, :]
-            gw = gaps[vertexed, None] * self.gap_widths[None, :]
-            corr = (gw * (2.0 * rosc[:, None] * np.sin(gn)) ** (-alpha)).sum(axis=1)
-            values[vertexed] += 2.0 * corr
+        # the gaps' osculating chord 2R sin g is dual sin(g) / g
+        g = 0.5 * np.maximum(turns, 0.0)
+        chord = np.divide(np.sin(g), g, out=np.ones(count), where=g > 0.0)
+        chord *= duals
+        gap_mean = _horner(self.gap_mean, g * g, np.empty(count))
+        values += 2.0 * g * chord**-alpha * gap_mean
         return values, turns, bis, lengths
 
 

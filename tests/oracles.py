@@ -2,10 +2,10 @@
 
 Closed forms come from Beta/Gamma reductions, the rest are plain dense
 Riemann sums on uniform grids, deliberately dumb so they cannot share a bug
-with the graded rules or the pair-refined interaction sums under test. The
-two marker references take the flow's marker frame, which defines its
-discrete model; `marker_rule_sum` also takes its rule, so it checks the
-evaluator's vectorized ray bookkeeping alone.
+with the fitted primitives or the pair-refined interaction sums under test.
+The marker reference takes the flow's marker frame, which defines its
+discrete model, and integrates each edge through `betainc`, not through the
+flow's fitted polynomial.
 """
 
 import numpy as np
@@ -143,40 +143,6 @@ def marker_halpha_exact(markers, alpha: float):
     bent, a = turns > 0.0, 0.5 * (1.0 - alpha)
     gaps = betainc(a, 0.5, np.sin(turns[bent] / 2.0) ** 2) * beta(a, 0.5)
     out[bent] += (2.0 * duals[bent] / turns[bent]) ** (-alpha) * gaps
-    return out
-
-
-def marker_rule_sum(markers, alpha: float):
-    """Per-marker chord sum of the flow's rule, one ray at a time.
-
-    Each marker clips the graded cells to its entry cone (gap, pi - gap),
-    gap half its turn; a clipped cell moves its node to its midpoint. Every
-    ray x + t (cos theta tangent - sin theta bisector) is tested against
-    every edge, and the nearest forward exit adds width * chord^-alpha; the
-    two gaps add the osculating circle's graded sums.
-    """
-    from fracgeo.flow import GAP_NODES, RAY_EPSILON, RULE_SIZE, marker_frame
-    from fracgeo.quadrature import graded_half_rule, graded_interval
-
-    _, normals, turns, bis, duals, _ = marker_frame(markers)
-    offsets = (markers * normals).sum(axis=1)
-    thetas, cells = graded_half_rule(alpha, RULE_SIZE)
-    out = np.zeros(len(markers))
-    for i, x in enumerate(markers):
-        gap = max(turns[i], 0.0) / 2.0
-        lo, hi = np.clip(cells, gap, np.pi - gap).T
-        live = hi > lo
-        th = np.where((lo == cells[:, 0]) & (hi == cells[:, 1]), thetas, 0.5 * (lo + hi))[live]
-        tangent = np.array([-bis[i, 1], bis[i, 0]])
-        denom = (np.outer(np.cos(th), tangent) - np.outer(np.sin(th), bis[i])) @ normals.T
-        with np.errstate(divide="ignore", invalid="ignore"):
-            chord = np.where(denom > RAY_EPSILON, (offsets - normals @ x) / denom, np.inf)
-        chord = chord.min(axis=1)
-        ahead = chord > 0.0
-        out[i] = np.sum((hi - lo)[live][ahead] * chord[ahead] ** (-alpha))
-        if gap > 0.0:
-            nodes, widths = graded_interval(alpha, GAP_NODES, gap)
-            out[i] += 2.0 * np.sum(widths * (2.0 * duals[i] / turns[i] * np.sin(nodes)) ** (-alpha))
     return out
 
 

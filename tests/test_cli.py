@@ -181,7 +181,7 @@ def test_halpha_takes_no_direction_count():
 
 
 def test_flow_takes_no_direction_count():
-    # every flow sizes its chord sums with the same graded rule
+    # the flow's chord sums are exact, so there is no rule to size
     with pytest.raises(SystemExit) as exc:
         main(["flow", "--body", "ball2d", "--resolution", "480"])
     assert exc.value.code == 2

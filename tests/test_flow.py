@@ -192,10 +192,21 @@ MARKER_SETS = (
 )
 
 
+# the five flows the flow benchmark times: (body, alpha, markers); the step
+# limiter stays active on the disk at alpha 0.75
+PLANAR_FLOWS = (
+    (load_fixture("ball2d"), 0.5, 64),
+    (load_fixture("ball2d"), 0.75, 80),
+    (load_fixture("square"), 0.5, 64),
+    (load_fixture("thinrect"), 0.5, 64),
+    (random_ellipse_polygon(np.random.default_rng([0, 2])), 0.5, 64),
+)
+
+
 def test_evaluator_matches_reference():
     for alpha in (0.1, 0.5, 0.75, 0.9):
         for markers in MARKER_SETS:
-            ref = oracles.marker_rule_sum(markers, alpha)
+            ref = oracles.marker_halpha_exact(markers, alpha)
             got = evaluate(markers, alpha)
             assert np.abs(got - ref).max() < 1e-12 * ref.max()
 
@@ -209,13 +220,14 @@ def test_evaluator_given_the_frame_is_bit_identical():
 
 
 def test_evaluator_matches_the_exact_marker_model():
-    # worst seen 8.9e-5, on the square and the thin rectangle at alpha 0.9;
-    # circles and the 11-gon stay under 1.5e-5
-    for alpha in (0.1, 0.5, 0.75, 0.9):
-        for markers in MARKER_SETS:
+    # across the whole range of alpha, on the initial markers of the
+    # benchmarked flows too; worst seen 5.4e-15
+    starts = [sample_boundary(body, count) for body, _, count in PLANAR_FLOWS]
+    for alpha in (0.001, 0.05, 0.5, 0.95, 0.999):
+        for markers in (*MARKER_SETS, *starts):
             exact = oracles.marker_halpha_exact(markers, alpha)
             got = evaluate(markers, alpha)
-            assert np.abs(got - exact).max() < 1.5e-4 * exact.max()
+            assert np.abs(got - exact).max() < 1e-12 * exact.max()
 
 
 def _arrays(ev):
@@ -236,25 +248,27 @@ def test_evaluator_results_do_not_alias_its_workspace():
 
 
 def test_warm_evaluator_allocates_no_new_buffer():
-    markers = sample_boundary(unit_square(), 64)
-    ev = _MarkerEvaluator(ALPHA, 64)
-    # the count's index tables and the work arrays are built with the evaluator
-    addresses = {name: a.ctypes.data for name, a in _arrays(ev).items()}
-    assert {"following", "edges", "end_rows", "per_cell", "flags", "tables"} <= set(addresses)
-    assert ev.cells.shape == (len(ev.thetas), 2)
-    for again in (markers, 0.5 * markers, circle_markers(64)):
-        ev(again)
-        assert {name: a.ctypes.data for name, a in _arrays(ev).items()} == addresses
+    for count in (64, 256):
+        markers = sample_boundary(unit_square(), count)
+        ev = _MarkerEvaluator(ALPHA, count)
+        # the edge ring with its view and every work array are built with the
+        # evaluator; cells has one row per edge a marker counts
+        addresses = {name: a.ctypes.data for name, a in _arrays(ev).items()}
+        assert {"ring", "cells", "offset", "along", "elevation", "terms", "reach"} <= set(addresses)
+        assert ev.cells.shape == (count - 2, 5, count)
+        assert np.shares_memory(ev.cells, ev.ring)
+        for again in (markers, 0.5 * markers, circle_markers(count)):
+            ev(again)
+            assert {name: a.ctypes.data for name, a in _arrays(ev).items()} == addresses
 
 
-def test_each_flow_evaluates_one_marker_count():
-    # the five benchmarked flows, the limiter-active disk among them: re-hulls
-    # are resampled back to the run's count before the next evaluation
-    ellipse = random_ellipse_polygon(np.random.default_rng([0, 2]))
-    runs = (("ball2d", 0.5, 64), ("ball2d", 0.75, 80), ("square", 0.5, 64),
-            ("thinrect", 0.5, 64), (ellipse, 0.5, 64))
-    call, rehulls = _MarkerEvaluator.__call__, 0
-    for body, alpha, count in runs:
+@pytest.fixture(scope="module")
+def planar_runs():
+    """The benchmarked flows' traces, each with the (evaluator, marker count)
+    of every evaluator call it made."""
+    runs = []
+    call = _MarkerEvaluator.__call__
+    for body, alpha, count in PLANAR_FLOWS:
         seen = []
 
         def watched(self, markers, frame=None):
@@ -263,14 +277,28 @@ def test_each_flow_evaluates_one_marker_count():
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_MarkerEvaluator, "__call__", watched)
-            trace = flow(load_fixture(body) if isinstance(body, str) else body,
-                         alpha, FlowOptions(markers=count))
+            runs.append((flow(body, alpha, FlowOptions(markers=count)), count, seen))
+    return runs
+
+
+def test_each_flow_evaluates_one_marker_count(planar_runs):
+    # re-hulls are resampled back to the run's count before the next evaluation
+    rehulls = 0
+    for trace, count, seen in planar_runs:
         assert trace.ending == "extinct" and len(seen) >= len(trace.states)
         assert len({ident for ident, _ in seen}) == 1
         assert {m for _, m in seen} == {count}
         rehulls += len(trace.rehull_steps)
     # a re-hull drops markers; the limiter-active disk alone re-hulls on most steps
     assert rehulls > 100
+
+
+def test_benchmarked_flows_follow_the_exact_marker_model(planar_runs):
+    # every 4th state, resampled, re-hulled and late states among them
+    for trace, _, _ in planar_runs:
+        for state in trace.states[::4]:
+            exact = oracles.marker_halpha_exact(state.markers, trace.alpha)
+            assert np.abs(state.halpha - exact).max() < 1e-11 * exact.max()
 
 
 @pytest.mark.parametrize("name", ["ball2d", "square"])
@@ -283,7 +311,7 @@ def test_flow_records_the_curvature_of_its_markers(name, monkeypatch):
     picks = {1, 2, after_resample, after_resample + 1, last // 2, last}
     for k in sorted(picks):
         state = trace.states[k]
-        ref = oracles.marker_rule_sum(state.markers, ALPHA)
+        ref = oracles.marker_halpha_exact(state.markers, ALPHA)
         assert np.abs(state.halpha - ref).max() < 1e-12 * ref.max()
 
 
@@ -376,6 +404,14 @@ def test_circle_decay_audit(circle_trace):
     assert rep.details["t_star_over_perimeter_power"] == pytest.approx(
         circle_trace.t_star_num / first.perimeter ** (1.0 + ALPHA), rel=1e-12
     )
+
+
+@pytest.mark.parametrize("alpha", [0.001, 0.999])
+def test_disk_flows_to_extinction_at_the_ends_of_the_alpha_range(alpha):
+    trace = flow(load_fixture("ball2d"), alpha, FlowOptions(markers=32))
+    assert trace.ending == "extinct"
+    assert all(np.isfinite(s.halpha).all() for s in trace.states)
+    assert np.isfinite(trace.t_star_num)
 
 
 def test_extinction_scaling_is_exact():

@@ -1,13 +1,13 @@
-"""Spherical rules and the graded rules that absorb endpoint singularities."""
+"""Spherical rules and the sine-power primitive of planar chords."""
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial
 
 from fracgeo.geometry import ResolutionTooLowError
 from fracgeo.quadrature import (
     abs_cosine_integral,
-    graded_half_rule,
-    graded_interval,
+    sine_power_mean,
     sphere_rule,
 )
 
@@ -76,44 +76,28 @@ def test_abs_cosine_rotation_invariance():
 
 
 # ---------------------------------------------------------------------------
-# graded half-sphere rules
+# the sine-power primitive of planar chords
+
+EXPONENTS = (-0.999, -0.5, -0.001, 0.001, 0.5, 0.999)
 
 
-def test_half_rule_constants_and_sidedness():
-    thetas, cells = graded_half_rule(0.5, 720)
-    widths = cells[:, 1] - cells[:, 0]
-    assert widths.sum() == pytest.approx(oracles.SPHERE_MEASURE[1] / 2.0, abs=1e-10)
-    assert np.all((cells[:, 0] < thetas) & (thetas < cells[:, 1]))
-    assert np.min(np.sin(thetas)) > 0.0
+def test_sine_power_mean_solves_its_differential_equation():
+    # S(psi) = psi sin^p(psi) M(psi^2) has S' = sin^p exactly when
+    # M (1 + p psi cot psi) + 2 psi^2 M'(psi^2) = 1, and M(0) = 1/(1 + p)
+    # picks the primitive that vanishes at 0; neither uses the incomplete beta
+    psi = np.linspace(1e-4, np.pi / 2.0, 2001)
+    x = psi * psi
+    for p in EXPONENTS:
+        c = sine_power_mean(p)
+        assert c[0] == pytest.approx(1.0 / (1.0 + p), rel=1e-14)
+        slope = polynomial.polyval(x, polynomial.polyder(c))
+        residual = polynomial.polyval(x, c) * (1.0 + p * psi / np.tan(psi)) + 2.0 * x * slope - 1.0
+        assert np.abs(residual).max() < 5e-12 * max(1.0, 1.0 / (1.0 + p))
 
 
-def test_half_rule_singular_model_n1():
-    # integrand sin(theta)^(-alpha): the inward component of each direction
-    for alpha, tol in ((0.25, 0.005), (0.5, 0.002), (0.75, 0.005)):
-        thetas, cells = graded_half_rule(alpha, 720)
-        value = float(np.sum((cells[:, 1] - cells[:, 0]) * np.sin(thetas) ** (-alpha)))
-        assert value == pytest.approx(oracles.sin_power_integral(alpha), rel=tol)
-
-
-def test_half_rule_refinement_cuts_error():
-    alpha = 0.5
-    target = oracles.sin_power_integral(alpha)
-
-    def err(res):
-        thetas, cells = graded_half_rule(alpha, res)
-        value = float(np.sum((cells[:, 1] - cells[:, 0]) * np.sin(thetas) ** (-alpha)))
-        return abs(value - target)
-
-    assert err(720) <= err(360) / 2.0
-
-
-def test_graded_interval_reproduces_singular_moments():
-    # cell nodes are placed so the rule integrates t^(-alpha) exactly
-    for alpha in (0.25, 0.5, 0.75):
-        for upper in (1.0, np.pi / 2):
-            nodes, widths = graded_interval(alpha, 48, upper)
-            value = float(np.sum(widths * nodes ** (-alpha)))
-            exact = upper ** (1.0 - alpha) / (1.0 - alpha)
-            assert value == pytest.approx(exact, rel=1e-12)
-            assert widths.sum() == pytest.approx(upper, rel=1e-12)
-            assert np.all(np.diff(np.concatenate([[0.0], nodes])) > 0.0)
+def test_sine_power_mean_over_the_quarter_turn():
+    # the integral of sin^p over (0, pi/2) is half the Beta function's
+    # integral of sin^-alpha over (0, pi) at alpha = -p
+    for p in EXPONENTS:
+        whole = np.pi / 2.0 * polynomial.polyval(np.pi**2 / 4.0, sine_power_mean(p))
+        assert whole == pytest.approx(0.5 * oracles.sin_power_integral(-p), rel=1e-14)
